@@ -309,7 +309,8 @@ def find_involutive_pairs(
 def independence_rank(
     coords, F: Sequence[Expression], samples: int = 5, seed: int = 0, pivot_tol: float = 1e-8
 ) -> int:
-    """Minimum numeric rank of the Jacobian d F_a / d x^i over sampled points."""
+    """Generic numeric rank of the Jacobian d F_a / d x^i: the largest rank
+    over sampled points, so a sample on a degenerate locus cannot lower it."""
     rows = len(F)
     cols = len(coords)
     jac = [diff(f, s) for f in F for s in coords]
@@ -320,8 +321,7 @@ def independence_rank(
     domain = SampleDomain(tuple(coords), tuple(params))
     names = domain.names()
     fn = compile_exprs(jac, names)
-    worst = min(rows, cols)
-    got_one = False
+    ranks = []
     trial = 0
     while samples > 0 and trial < samples * 8:
         env = sample_point(domain, trial_rng(seed, trial))
@@ -330,13 +330,12 @@ def independence_rank(
             values, _ = fn([float(env[n]) for n in names])
         except Exception:
             continue
-        got_one = True
         samples -= 1
         grid = [values[r * cols : (r + 1) * cols] for r in range(rows)]
-        worst = min(worst, _float_rank(grid, pivot_tol))
-    if not got_one:
+        ranks.append(_float_rank(grid, pivot_tol))
+    if not ranks:
         raise ValueError("all sampled points were singular for the Jacobian")
-    return worst
+    return max(ranks)
 
 
 def _float_rank(grid: list[list[float]], tol: float) -> int:

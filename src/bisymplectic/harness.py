@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -723,7 +722,7 @@ def _zero_result(name: str, rep, detail: str = "") -> CheckResult:
     if rep.witness is not None:
         witness = dict(_str_env(rep.witness))
         if rep.witness_index is not None:
-            witness["@trial"] = str(rep.witness_index)
+            witness["@residual"] = str(rep.witness_index)
     status = "pass" if rep.zero else "fail"
     return CheckResult(name, status, float(rep.max_residual), witness, detail)
 
@@ -1109,13 +1108,11 @@ def verify_entry(entry: CatalogEntry, config: VerifyConfig | None = None) -> Ver
 
 
 def verify_all(directory: Path | str | None = None,
-               config: VerifyConfig | None = None,
-               max_workers: int | None = None) -> SummaryReport:
+               config: VerifyConfig | None = None) -> SummaryReport:
     """Verify every catalog document in a directory.
 
-    Entries run concurrently; results are assembled by a single writer in
-    entry-id order.  A document that will not load is recorded as a load
-    error and does not stop the rest.
+    Entries run one after another in entry-id order.  A document that will
+    not load is recorded as a load error and does not stop the rest.
     """
     cfg = config or VerifyConfig()
     started = time.perf_counter()
@@ -1128,13 +1125,7 @@ def verify_all(directory: Path | str | None = None,
         except CatalogError as exc:
             load_errors.append((p.name, str(exc)))
 
-    reports: list[VerificationReport] = []
-    if loaded:
-        workers = max_workers or min(len(loaded), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(verify_entry, e, cfg) for e in loaded]
-            reports = [f.result() for f in futures]
-    reports.sort(key=lambda r: r.entry_id)
+    reports = sorted((verify_entry(e, cfg) for e in loaded), key=lambda r: r.entry_id)
     elapsed = time.perf_counter() - started
     return SummaryReport(tuple(reports), tuple(load_errors), elapsed)
 

@@ -61,6 +61,10 @@ def test_mutated_entry_fails_with_rc1(tmp_path):
     doc = json.loads(out.read_bytes())
     assert doc["ok"] is False
     assert any(c["status"] == "fail" for c in doc["checks"])
+    # a zero test's witness names which residual failed, not which trial
+    q_dual = next(c for c in doc["checks"] if c["name"] == "dynsys.q_matrix.dual")
+    assert q_dual["status"] == "fail"
+    assert q_dual["witness"]["@residual"] == "6" and "@trial" not in q_dual["witness"]
 
 
 def test_verify_all_with_unreadable_entry(tmp_path, monkeypatch):

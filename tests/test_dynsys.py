@@ -235,6 +235,9 @@ class TestInvolution:
         comm = involution_check(can2, F)
         assert comm == [[True, True], [True, True]]
         assert independence_rank(zcoords, F) == 2
+        # these are ex1's invariants; at seed 401 one sample lies on the locus
+        # z3 = d*z4, where their Jacobian drops to rank 1
+        assert independence_rank(zcoords, F, seed=401) == 2
 
     def test_dependent_functions_drop_rank(self, zcoords, params_abcd):
         syms = zcoords + (params_abcd["d"],)
