@@ -1,9 +1,13 @@
 """Structure constants, bialgebra pairs, doubles, and exact identity checks.
 
 Everything in this module is exact: tensors hold parameter-only expressions,
-checks substitute rational parameter values and then work in ``Fraction``
+checks substitute rational parameter values and then work in exact rational
 arithmetic, so a passing check means the identity holds identically at that
 sample, not merely within a tolerance.
+
+Contractions run in integers over the nonzero entries of tables put over one
+common denominator per sample (:func:`_scaled_nonzeros`); :func:`_exact_report`
+keeps the witness and ``max_abs`` a dense ``Fraction`` scan would find.
 
 Index conventions.  A bracket table ``[X_i, X_j] = f_ij^k X_k`` is stored as
 ``entries[i][j][k]``.  The dual algebra's table ``[Xt^i, Xt^j] = ft^ij_k Xt^k``
@@ -19,6 +23,7 @@ compatibility condition between ``f`` and ``ft``, which is why
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -28,6 +33,7 @@ from .expr import (
     Neg,
     Rat,
     Symbol,
+    _is_zero,
     as_expr,
     evaluate,
     free_symbols,
@@ -37,11 +43,9 @@ from .expr import (
 )
 from .linalg import (
     ExprMatrix,
-    SingularMatrixError,
     expr_eval_matrix,
     expr_inverse,
     frac_det,
-    frac_matmul,
 )
 
 __all__ = [
@@ -160,45 +164,81 @@ def _assignments_for(obj_params: tuple[Symbol, ...], assignments) -> list[dict[s
     return default_assignments(obj_params)
 
 
+def _scaled_nonzeros(grid, env) -> tuple[int, list]:
+    """Evaluate a table at one sample as ``(scale, rows)``, ``scale`` being the
+    common denominator: ``rows`` nests like ``grid``, each innermost row cut to
+    the ``(index, numerator)`` pairs of its nonzero entries (``numerator / scale``)."""
+    leaves = []
+
+    def walk(node):
+        if not isinstance(node[0], Expression):
+            return [walk(sub) for sub in node]
+        leaves.append([(k, v) for k, v in enumerate(Fraction(evaluate(e, env)) for e in node) if v])
+        return leaves[-1]
+
+    rows = walk(grid)
+    scale = math.lcm(*(v.denominator for row in leaves for _, v in row))
+    for row in leaves:
+        row[:] = [(k, v.numerator * (scale // v.denominator)) for k, v in row]
+    return scale, rows
+
+
+def _exact_report(plans, samples, shape: tuple[int, ...]) -> ExactReport:
+    """Worst residual over the samples.  ``samples`` yields ``(scale, acc)``
+    per assignment, ``acc`` holding integer residuals worth ``acc[p] / scale``
+    on a flat row-major grid of ``shape``.  Ties go to the earlier sample,
+    then the lower index, as in a dense scan with strict ``>``."""
+    worst = Fraction(0)
+    witness = None
+    for env, (scale, acc) in zip(plans, samples):
+        best = max(map(abs, acc), default=0)
+        if best and Fraction(best, scale) > worst:
+            worst = Fraction(best, scale)
+            pos = next(p for p, v in enumerate(acc) if abs(v) == best)
+            index = tuple(pos // math.prod(shape[a + 1:]) % n for a, n in enumerate(shape))
+            witness = (index, dict(env))
+    return ExactReport(worst == 0, worst, witness, len(plans))
+
+
 def check_antisymmetry(f: StructureConstants, assignments=None) -> ExactReport:
     """f[i][j][k] + f[j][i][k] must vanish exactly at every sample."""
     plans = _assignments_for(f.parameters(), assignments)
-    worst = Fraction(0)
-    witness = None
-    for env in plans:
-        t = f.evaluated(env)
-        for i in range(f.dim):
-            for j in range(f.dim):
-                for k in range(f.dim):
-                    r = abs(t[i][j][k] + t[j][i][k])
-                    if r > worst:
-                        worst = r
-                        witness = ((i, j, k), dict(env))
-    return ExactReport(worst == 0, worst, None if worst == 0 else witness, len(plans))
+    d = f.dim
+
+    def sample(env):
+        scale, t = _scaled_nonzeros(f.entries, env)
+        acc = [0] * d ** 3
+        for i in range(d):
+            for j in range(d):
+                for k, v in t[i][j]:
+                    acc[(i * d + j) * d + k] += v
+                    acc[(j * d + i) * d + k] += v
+        return scale, acc
+
+    return _exact_report(plans, map(sample, plans), (d, d, d))
 
 
 def check_jacobi(f: StructureConstants, assignments=None) -> ExactReport:
     """Cyclic Jacobi sum, contracted exactly at every parameter sample."""
     plans = _assignments_for(f.parameters(), assignments)
     d = f.dim
-    worst = Fraction(0)
-    witness = None
-    for env in plans:
-        t = f.evaluated(env)
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for m in range(d):
-                        acc = Fraction(0)
-                        for l in range(d):
-                            acc += t[i][j][l] * t[l][k][m]
-                            acc += t[j][k][l] * t[l][i][m]
-                            acc += t[k][i][l] * t[l][j][m]
-                        r = abs(acc)
-                        if r > worst:
-                            worst = r
-                            witness = ((i, j, k, m), dict(env))
-    return ExactReport(worst == 0, worst, None if worst == 0 else witness, len(plans))
+
+    def sample(env):
+        scale, t = _scaled_nonzeros(f.entries, env)
+        acc = [0] * d ** 4
+        for p in range(d):
+            for q in range(d):
+                for l, x in t[p][q]:
+                    for r in range(d):
+                        for m, y in t[l][r]:
+                            # t_pq^l t_lr^m is a term of the cyclic sum at
+                            # (i, j, k) = (p, q, r), (r, p, q) and (q, r, p)
+                            acc[((p * d + q) * d + r) * d + m] += x * y
+                            acc[((r * d + p) * d + q) * d + m] += x * y
+                            acc[((q * d + r) * d + p) * d + m] += x * y
+        return scale * scale, acc
+
+    return _exact_report(plans, map(sample, plans), (d, d, d, d))
 
 
 @dataclass(frozen=True)
@@ -282,28 +322,21 @@ def verify_manin_triple(bialg: LieBialgebra, assignments=None) -> ManinReport:
     jac = check_jacobi(double, plans)
 
     d = bialg.dim
-    n2 = 2 * d
-    pairing = [[Fraction(0)] * n2 for _ in range(n2)]
-    for i in range(d):
-        pairing[i][d + i] = Fraction(1)
-        pairing[d + i][i] = Fraction(1)
+    n = 2 * d
 
-    worst = Fraction(0)
-    witness = None
-    for env in plans:
-        t = double.evaluated(env)
-        for a in range(n2):
-            for b in range(n2):
-                for c in range(n2):
-                    acc = Fraction(0)
-                    for e in range(n2):
-                        acc += t[a][b][e] * pairing[e][c]
-                        acc += t[a][c][e] * pairing[b][e]
-                    r = abs(acc)
-                    if r > worst:
-                        worst = r
-                        witness = ((a, b, c), dict(env))
-    adinv = ExactReport(worst == 0, worst, None if worst == 0 else witness, len(plans))
+    def sample(env):
+        # the pairing matches e with e + d (mod n): residual (a, b, c) is
+        # t_ab^(c+d) + t_ac^(b+d), so t_ax^e enters at (a, x, e+d) and (a, e+d, x)
+        scale, t = _scaled_nonzeros(double.entries, env)
+        acc = [0] * n ** 3
+        for a in range(n):
+            for x in range(n):
+                for e, v in t[a][x]:
+                    acc[(a * n + x) * n + (e + d) % n] += v
+                    acc[(a * n + (e + d) % n) * n + x] += v
+        return scale, acc
+
+    adinv = _exact_report(plans, map(sample, plans), (n, n, n))
     return ManinReport(jac, adinv)
 
 
@@ -321,18 +354,15 @@ def cobracket_from_r(r, f: StructureConstants) -> StructureConstants:
     grid = _zeros(d, 3)
     fz = f.entries
 
-    def is0(e: Expression) -> bool:
-        return isinstance(e, Rat) and e.value == 0
-
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 terms = []
                 for a in range(d):
-                    if not (is0(entries[a][k]) or is0(fz[i][a][j])):
+                    if not (_is_zero(entries[a][k]) or _is_zero(fz[i][a][j])):
                         terms.append(product_of([entries[a][k], fz[i][a][j]]))
                 for b in range(d):
-                    if not (is0(entries[j][b]) or is0(fz[i][b][k])):
+                    if not (_is_zero(entries[j][b]) or _is_zero(fz[i][b][k])):
                         terms.append(product_of([entries[j][b], fz[i][b][k]]))
                 grid[j][k][i] = sum_of(terms)
     return StructureConstants(d, tuple(tuple(tuple(row) for row in plane) for plane in grid), "upper")
@@ -393,22 +423,19 @@ def apply_isomorphism(C: IsomorphismMatrix, f: StructureConstants) -> StructureC
     Ci = C.inverse()
     fz = f.entries
 
-    def is0(e: Expression) -> bool:
-        return isinstance(e, Rat) and e.value == 0
-
     grid = _zeros(d, 3)
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 terms = []
                 for l in range(d):
-                    if is0(Cm[i][l]):
+                    if _is_zero(Cm[i][l]):
                         continue
                     for m in range(d):
-                        if is0(Cm[j][m]):
+                        if _is_zero(Cm[j][m]):
                             continue
                         for s in range(d):
-                            if is0(fz[l][m][s]) or is0(Ci[s][k]):
+                            if _is_zero(fz[l][m][s]) or _is_zero(Ci[s][k]):
                                 continue
                             terms.append(product_of([Cm[i][l], Cm[j][m], fz[l][m][s], Ci[s][k]]))
                 grid[i][j][k] = sum_of(terms)
@@ -436,9 +463,6 @@ class MatrixRep:
                 raise ValueError("representation matrices must share a square shape")
         return cls(dim, size, mats)
 
-    def matrix(self, i: int) -> ExprMatrix:
-        return [list(row) for row in self.matrices[i]]
-
     def parameters(self) -> tuple[Symbol, ...]:
         return parameter_symbols(e for mat in self.matrices for row in mat for e in row)
 
@@ -452,23 +476,26 @@ def check_representation(rep: MatrixRep, f: StructureConstants, assignments=None
         + [e for plane in f.entries for row in plane for e in row]
     )
     plans = _assignments_for(params, assignments)
-    worst = Fraction(0)
-    witness = None
-    m = rep.size
-    for env in plans:
-        t = f.evaluated(env)
-        mats = [expr_eval_matrix(rep.matrix(i), env) for i in range(rep.dim)]
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                comm = frac_matmul(mats[i], mats[j])
-                ji = frac_matmul(mats[j], mats[i])
-                for a in range(m):
-                    for b in range(m):
-                        acc = comm[a][b] - ji[a][b]
-                        for k in range(rep.dim):
-                            acc -= t[i][j][k] * mats[k][a][b]
-                        r = abs(acc)
-                        if r > worst:
-                            worst = r
-                            witness = ((i, j, a, b), dict(env))
-    return ExactReport(worst == 0, worst, None if worst == 0 else witness, len(plans))
+    d, m = rep.dim, rep.size
+
+    def sample(env):
+        # [rho_i, rho_j] carries scale rs^2 and f_ij^k rho_k carries ts*rs:
+        # both are brought to ts*rs^2
+        ts, t = _scaled_nonzeros(f.entries, env)
+        rs, rho = _scaled_nonzeros(rep.matrices, env)
+        acc = [0] * (d * d * m * m)
+        for i in range(d):
+            for a in range(m):
+                for c, x in rho[i][a]:
+                    for j in range(d):
+                        for b, y in rho[j][c]:
+                            acc[((i * d + j) * m + a) * m + b] += ts * x * y
+                            acc[((j * d + i) * m + a) * m + b] -= ts * x * y
+            for j in range(d):
+                for k, c in t[i][j]:
+                    for a in range(m):
+                        for b, y in rho[k][a]:
+                            acc[((i * d + j) * m + a) * m + b] -= rs * c * y
+        return ts * rs * rs, acc
+
+    return _exact_report(plans, map(sample, plans), (d, d, m, m))

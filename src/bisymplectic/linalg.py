@@ -18,7 +18,6 @@ from .expr import Expression, Neg, Quotient, Rat, as_expr, product_of, sum_of
 __all__ = [
     "SingularMatrixError",
     "frac_identity",
-    "frac_matmul",
     "frac_det",
     "frac_inverse",
     "frac_solve",
@@ -49,11 +48,6 @@ ExprMatrix = list[list[Expression]]
 
 def frac_identity(n: int) -> FracMatrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def frac_matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> FracMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)] for i in range(n)]
 
 
 def _elim(a: FracMatrix, rhs: FracMatrix) -> FracMatrix:

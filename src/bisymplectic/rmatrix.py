@@ -5,8 +5,8 @@ which ("upper" for r^ij on the bracket side, "lower" for the dual-side
 r_ij).  Wedge input follows X ^ Y = X (x) Y - Y (x) X, so a listed wedge
 coefficient lands in the (i, j) slot and its negative in (j, i).
 
-The Yang-Baxter residual is contracted exactly over Fractions per parameter
-sample:
+The Yang-Baxter residual is contracted exactly per parameter sample, in
+integers over the nonzero entries (see ``liealg``):
 
     R_mjl = r^ij r^kl f_ik^m + r^mi r^kl f_ik^j + r^mi r^jk f_ik^l
 
@@ -19,13 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .expr import Expression, Neg, Rat, Symbol, as_expr, evaluate, product_of, sum_of
-from .liealg import (
-    ExactReport,
-    StructureConstants,
-    _assignments_for,
-    parameter_symbols,
-)
+from .expr import Expression, Neg, Rat, Symbol, _is_zero, as_expr, evaluate, product_of, sum_of
+from .liealg import (ExactReport, StructureConstants, _assignments_for, _exact_report,
+                     _scaled_nonzeros, parameter_symbols)
 from .linalg import ExprMatrix
 
 __all__ = ["RMatrix", "cybe_residual", "transform_r"]
@@ -99,26 +95,28 @@ def cybe_residual(r: RMatrix, f: StructureConstants, assignments=None) -> ExactR
     )
     plans = _assignments_for(params, assignments)
     d = r.dim
-    worst = Fraction(0)
-    witness = None
-    for env in plans:
-        rv = r.evaluated(env)
-        fv = f.evaluated(env)
-        for m in range(d):
-            for j in range(d):
-                for l in range(d):
-                    acc = Fraction(0)
-                    for i in range(d):
-                        for k in range(d):
-                            fik = fv[i][k]
-                            acc += rv[i][j] * rv[k][l] * fik[m]
-                            acc += rv[m][i] * rv[k][l] * fik[j]
-                            acc += rv[m][i] * rv[j][k] * fik[l]
-                    a = abs(acc)
-                    if a > worst:
-                        worst = a
-                        witness = ((m, j, l), dict(env))
-    return ExactReport(worst == 0, worst, None if worst == 0 else witness, len(plans))
+
+    def sample(env):
+        rs, rows = _scaled_nonzeros(r.entries, env)
+        _, cols = _scaled_nonzeros(tuple(zip(*r.entries)), env)  # cols[j]: (i, r^ij) pairs
+        fs, ft = _scaled_nonzeros(f.entries, env)
+        acc = [0] * d ** 3
+        for i in range(d):
+            for k in range(d):
+                for n, c in ft[i][k]:
+                    # f_ik^n is the f factor of the first term at (m, j, l) = (n, j, l),
+                    # of the second at (m, n, l) and of the third at (m, j, n)
+                    for j, x in rows[i]:
+                        for l, y in rows[k]:
+                            acc[(n * d + j) * d + l] += x * y * c
+                    for m, x in cols[i]:
+                        for l, y in rows[k]:
+                            acc[(m * d + n) * d + l] += x * y * c
+                        for j, y in cols[k]:
+                            acc[(m * d + j) * d + n] += x * y * c
+        return rs * rs * fs, acc
+
+    return _exact_report(plans, map(sample, plans), (d, d, d))
 
 
 def transform_r(Cinv: ExprMatrix, r: RMatrix, variance: str = "lower") -> RMatrix:
@@ -132,19 +130,16 @@ def transform_r(Cinv: ExprMatrix, r: RMatrix, variance: str = "lower") -> RMatri
     if len(Cinv) != d:
         raise ValueError("matrix and r-matrix dimensions differ")
 
-    def is0(e: Expression) -> bool:
-        return isinstance(e, Rat) and e.value == 0
-
     grid = []
     for i in range(d):
         row = []
         for j in range(d):
             terms = []
             for k in range(d):
-                if is0(Cinv[k][i]):
+                if _is_zero(Cinv[k][i]):
                     continue
                 for l in range(d):
-                    if is0(r.entries[k][l]) or is0(Cinv[l][j]):
+                    if _is_zero(r.entries[k][l]) or _is_zero(Cinv[l][j]):
                         continue
                     terms.append(product_of([Cinv[k][i], r.entries[k][l], Cinv[l][j]]))
             row.append(sum_of(terms))

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .expr import (
-    DEN_GUARD,
     TRIALS,
     Expression,
     Neg,
@@ -32,6 +31,7 @@ from .expr import (
     SampleDomain,
     Symbol,
     ZeroTestReport,
+    _is_zero,
     as_expr,
     diff,
     equiv_zero,
@@ -40,7 +40,8 @@ from .expr import (
     product_of,
     sum_of,
 )
-from .liealg import ExactReport, StructureConstants, _assignments_for, parameter_symbols
+from .liealg import (ExactReport, StructureConstants, _assignments_for, _exact_report,
+                     _scaled_nonzeros, parameter_symbols)
 from .linalg import ExprMatrix, expr_eval_matrix, expr_inverse, frac_det
 
 __all__ = [
@@ -61,10 +62,6 @@ __all__ = [
     "push_poisson",
     "field_domain",
 ]
-
-
-def _is0(e: Expression) -> bool:
-    return isinstance(e, Rat) and e.value == 0
 
 
 def _skew_from_upper(dim: int, upper: Mapping[tuple[int, int], object]):
@@ -138,33 +135,27 @@ def closure_residual(omega: SymplecticForm, f: StructureConstants, assignments=N
     )
     plans = _assignments_for(params, assignments)
     d = f.dim
-    worst_c = Fraction(0)
-    worst_a = Fraction(0)
-    wit_c = None
-    wit_a = None
-    for env in plans:
-        t = f.evaluated(env)
-        w = [[Fraction(evaluate(e, env)) for e in row] for row in omega.entries]
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    cyc = Fraction(0)
-                    alt = Fraction(0)
-                    for l in range(d):
-                        a = t[i][j][l] * w[l][k]
-                        b = t[i][k][l] * w[l][j]
-                        c = t[j][k][l] * w[l][i]
-                        cyc += a + b + c
-                        alt += -a + b - c
-                    if abs(cyc) > worst_c:
-                        worst_c = abs(cyc)
-                        wit_c = ((i, j, k), dict(env))
-                    if abs(alt) > worst_a:
-                        worst_a = abs(alt)
-                        wit_a = ((i, j, k), dict(env))
-    rep_c = ExactReport(worst_c == 0, worst_c, None if worst_c == 0 else wit_c, len(plans))
-    rep_a = ExactReport(worst_a == 0, worst_a, None if worst_a == 0 else wit_a, len(plans))
-    return ClosureReport(rep_c, rep_a)
+
+    def sample(env):
+        ts, t = _scaled_nonzeros(f.entries, env)
+        ws, w = _scaled_nonzeros(omega.entries, env)
+        cyc = [0] * d ** 3
+        alt = [0] * d ** 3
+        for p in range(d):
+            for q in range(p + 1, d):
+                for l, x in t[p][q]:
+                    for s, y in w[l]:
+                        if s not in (p, q):
+                            # f_pq^l w_ls is a term at the sorted triple (i, j, k) of p, q, s;
+                            # the alternating sum flips all but the f_ik w_j term (s = j)
+                            i, j, k = sorted((p, q, s))
+                            cyc[(i * d + j) * d + k] += x * y
+                            alt[(i * d + j) * d + k] += x * y if s == j else -x * y
+        return ts * ws, cyc, alt
+
+    sums = [sample(env) for env in plans]
+    return ClosureReport(_exact_report(plans, ((s, c) for s, c, _ in sums), (d, d, d)),
+                         _exact_report(plans, ((s, a) for s, _, a in sums), (d, d, d)))
 
 
 def check_nondegenerate(omega: SymplecticForm, assignments=None) -> ExactReport:
@@ -263,11 +254,11 @@ def poisson_bracket(field: PoissonField, f: Expression, g: Expression) -> Expres
     dfs = [diff(f, s) for s in field.coords]
     dgs = [diff(g, s) for s in field.coords]
     for i in range(field.dim):
-        if _is0(dfs[i]):
+        if _is_zero(dfs[i]):
             continue
         for j in range(field.dim):
             p = field.entries[i][j]
-            if _is0(p) or _is0(dgs[j]):
+            if _is_zero(p) or _is_zero(dgs[j]):
                 continue
             terms.append(product_of([p, dfs[i], dgs[j]]))
     return sum_of(terms)
@@ -285,10 +276,10 @@ def jacobi_residual_field(field: PoissonField, seed: int = 0, trials: int = TRIA
                 for l in range(d):
                     dl = field.coords[l]
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        if _is0(P[a][l]):
+                        if _is_zero(P[a][l]):
                             continue
                         dP = diff(P[b][c], dl)
-                        if not _is0(dP):
+                        if not _is_zero(dP):
                             terms.append(product_of([P[a][l], dP]))
                 residuals.append(sum_of(terms))
     return equiv_zero(residuals, field_domain(field), seed=seed, trials=trials)
@@ -336,7 +327,7 @@ class Vielbein:
                 terms = [
                     product_of([self.e[i][j], self.einv[j][k]])
                     for j in range(n)
-                    if not (_is0(self.e[i][j]) or _is0(self.einv[j][k]))
+                    if not (_is_zero(self.e[i][j]) or _is_zero(self.einv[j][k]))
                 ]
                 acc = sum_of(terms)
                 if i == k:
@@ -366,10 +357,10 @@ def push_poisson(vb: Vielbein, P: ExprMatrix) -> PoissonField:
         for j in range(n):
             terms = []
             for k in range(n):
-                if _is0(vb.e[i][k]):
+                if _is_zero(vb.e[i][k]):
                     continue
                 for l in range(n):
-                    if _is0(P[k][l]) or _is0(vb.e[j][l]):
+                    if _is_zero(P[k][l]) or _is_zero(vb.e[j][l]):
                         continue
                     terms.append(product_of([vb.e[i][k], vb.e[j][l], P[k][l]]))
             row.append(sum_of(terms))
