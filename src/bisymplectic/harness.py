@@ -1111,8 +1111,9 @@ def verify_all(directory: Path | str | None = None,
                config: VerifyConfig | None = None) -> SummaryReport:
     """Verify every catalog document in a directory.
 
-    Entries run one after another in entry-id order.  A document that will
-    not load is recorded as a load error and does not stop the rest.
+    Entries run one after another and are reported in entry-id order.  A
+    document that will not load is recorded as a load error and does not
+    stop the rest.
     """
     cfg = config or VerifyConfig()
     started = time.perf_counter()
