@@ -24,6 +24,7 @@ from .expr import (
     Rat,
     SampleDomain,
     ZeroTestReport,
+    _is_zero,
     compile_exprs,
     diff,
     equiv_zero,
@@ -55,10 +56,6 @@ __all__ = [
 ]
 
 
-def _is0(e: Expression) -> bool:
-    return isinstance(e, Rat) and e.value == 0
-
-
 @dataclass(frozen=True)
 class DynamicalSystem:
     """Phase field, dynamical functions, and the table their brackets realize."""
@@ -87,7 +84,7 @@ def symmetry_residual(sys: DynamicalSystem, seed: int = 0, trials: int = TRIALS)
             terms = [poisson_bracket(sys.phase, sys.S[i], sys.S[j])]
             for k in range(d):
                 c = sys.target.entries[i][j][k]
-                if not _is0(c):
+                if not _is_zero(c):
                     terms.append(product_of([Rat(-1), c, sys.S[k]]))
             residuals.append(sum_of(terms))
     return equiv_zero(residuals, sys.domain(), seed=seed, trials=trials)
@@ -175,7 +172,7 @@ def build_Q(S: Sequence[Expression], r: RMatrix, rep: MatrixRep) -> QMatrix:
                 for j in range(r.dim):
                     rij = r.entries[i][j]
                     rho = rep.matrices[j][a][b]
-                    if _is0(rij) or _is0(rho) or _is0(S[i]):
+                    if _is_zero(rij) or _is_zero(rho) or _is_zero(S[i]):
                         continue
                     terms.append(product_of([S[i], rij, rho]))
             row.append(sum_of(terms))
@@ -198,12 +195,12 @@ def sts_residual(
     for a in range(m):
         for b in range(m):
             qab = Q.entries[a][b]
-            if _is0(qab):
+            if _is_zero(qab):
                 continue
             for c in range(m):
                 for d in range(m):
                     qcd = Q.entries[c][d]
-                    if _is0(qcd):
+                    if _is_zero(qcd):
                         continue
                     bracket_block[idx(a, c)][idx(b, d)] = poisson_bracket(phase, qab, qcd)
 
@@ -212,32 +209,32 @@ def sts_residual(
     for i in range(r.dim):
         for j in range(r.dim):
             rij = r.entries[i][j]
-            if _is0(rij):
+            if _is_zero(rij):
                 continue
             mi, mj = rep.matrices[i], rep.matrices[j]
             for a in range(m):
                 for b in range(m):
-                    if _is0(mi[a][b]):
+                    if _is_zero(mi[a][b]):
                         continue
                     for c in range(m):
                         for d in range(m):
-                            if _is0(mj[c][d]):
+                            if _is_zero(mj[c][d]):
                                 continue
                             cell = product_of([rij, mi[a][b], mj[c][d]])
                             prev = rrep[idx(a, c)][idx(b, d)]
-                            rrep[idx(a, c)][idx(b, d)] = cell if _is0(prev) else sum_of([prev, cell])
+                            rrep[idx(a, c)][idx(b, d)] = cell if _is_zero(prev) else sum_of([prev, cell])
 
     # Q (x) I + I (x) Q; both parts can land on the same cell, so accumulate
     sandwich = [[Rat(0)] * mm for _ in range(mm)]
     for a in range(m):
         for b in range(m):
             qab = Q.entries[a][b]
-            if _is0(qab):
+            if _is_zero(qab):
                 continue
             for c in range(m):
                 for u, v in ((idx(a, c), idx(b, c)), (idx(c, a), idx(c, b))):
                     prev = sandwich[u][v]
-                    sandwich[u][v] = qab if _is0(prev) else sum_of([prev, qab])
+                    sandwich[u][v] = qab if _is_zero(prev) else sum_of([prev, qab])
 
     comm_left = expr_matmul(sandwich, rrep)
     comm_right = expr_matmul(rrep, sandwich)
@@ -246,15 +243,15 @@ def sts_residual(
         for v in range(mm):
             terms = [bracket_block[u][v], comm_left[u][v]]
             rgt = comm_right[u][v]
-            if not _is0(rgt):
+            if not _is_zero(rgt):
                 terms.append(product_of([Rat(-1), rgt]))
-            residuals.append(sum_of([t for t in terms if not _is0(t)]))
+            residuals.append(sum_of([t for t in terms if not _is_zero(t)]))
     domain = field_domain(phase, list(Q.S) + [e for row in rrep for e in row])
     return equiv_zero(residuals, domain, seed=seed, trials=trials)
 
 
 def trace_of(matrix: ExprMatrix) -> Expression:
-    return sum_of([matrix[i][i] for i in range(len(matrix)) if not _is0(matrix[i][i])])
+    return sum_of([matrix[i][i] for i in range(len(matrix)) if not _is_zero(matrix[i][i])])
 
 
 def invariants(Q: QMatrix, kmax: int = 3) -> list[Expression]:

@@ -30,6 +30,7 @@ from .expr import (
     SingularPointError,
     Symbol,
     ZeroTestReport,
+    _is_zero,
     compile_exprs,
     diff,
     equiv_zero,
@@ -57,10 +58,6 @@ __all__ = [
     "verify_exchange",
     "classify_transformation",
 ]
-
-
-def _is0(e: Expression) -> bool:
-    return isinstance(e, Rat) and e.value == 0
 
 
 def _symbols_outside(exprs, coord_names: set) -> tuple[Symbol, ...]:
@@ -126,11 +123,11 @@ def check_phase_exchange(
             for l in range(Pt.dim):
                 for k in range(Pt.dim):
                     w = Pt.entries[l][k]
-                    if _is0(w) or _is0(jac[i][l]) or _is0(jac[j][k]):
+                    if _is_zero(w) or _is_zero(jac[i][l]) or _is_zero(jac[j][k]):
                         continue
                     terms.append(product_of([w, jac[i][l], jac[j][k]]))
             pij = P.entries[i][j]
-            if not _is0(pij):
+            if not _is_zero(pij):
                 terms.append(product_of([Rat(-1), cmap.compose(pij)]))
             residuals.append(sum_of(terms) if terms else Rat(0))
     return equiv_zero(residuals, field_domain(Pt, residuals), seed=seed, trials=trials)
@@ -150,7 +147,7 @@ def transform_dynfuncs(
         terms = [
             product_of([Ci[j][l], composed[l]])
             for l in range(C.dim)
-            if not _is0(Ci[j][l])
+            if not _is_zero(Ci[j][l])
         ]
         out.append(sum_of(terms) if terms else Rat(0))
     return tuple(out)
@@ -170,7 +167,7 @@ def transport_rep(C: IsomorphismMatrix, rep: MatrixRep) -> MatrixRep:
                 terms = [
                     product_of([Ci[m][i], rep.matrices[i][a][b]])
                     for i in range(rep.dim)
-                    if not (_is0(Ci[m][i]) or _is0(rep.matrices[i][a][b]))
+                    if not (_is_zero(Ci[m][i]) or _is_zero(rep.matrices[i][a][b]))
                 ]
                 row.append(sum_of(terms) if terms else Rat(0))
             grid.append(row)
@@ -258,7 +255,7 @@ def transform_Q(bundle: ExchangeBundle, seed: int = 0, trials: int = TRIALS) -> 
     for a in range(left.size):
         for b in range(left.size):
             la, rb = left.entries[a][b], right.entries[a][b]
-            if _is0(la) and _is0(rb):
+            if _is_zero(la) and _is_zero(rb):
                 continue
             residuals.append(sum_of([la, product_of([Rat(-1), rb])]))
     if not residuals:

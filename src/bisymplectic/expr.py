@@ -35,6 +35,7 @@ blow-up masquerade as a residual.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -69,6 +70,7 @@ __all__ = [
     "subst",
     "free_symbols",
     "compile_exprs",
+    "COMPILE_CACHE_SIZE",
     "SampleDomain",
     "PARAMETER_POOL",
     "sample_point",
@@ -757,12 +759,30 @@ def compile_exprs(
     inline and raise :class:`SingularPointError` exactly like the interpreted
     path.  The returned callable maps a value sequence (ordered like
     ``arg_names``) to ``(values, scale)`` where scale is the largest
-    intermediate magnitude (0.0 when ``track_scale`` is off).
+    intermediate magnitude (0.0 when ``track_scale`` is off).  Calls that
+    generate the same source get the same function back (see
+    :func:`_exec_source`).
     """
+    lines, results = _emit_lines(exprs, arg_names, den_guard, track_scale)
+    body = ["def _fn(_v):", "    _s = 0.0"]
+    body.extend(f"    {line}" for line in lines)
+    body.append(f"    return [{', '.join(results)}], _s")
+    return _exec_source("\n".join(body), den_guard)
+
+
+def _emit_lines(
+    exprs: Sequence[Expression],
+    arg_names: Sequence[str],
+    den_guard: float,
+    track_scale: bool,
+    arg: str = "_v[{}]",
+) -> tuple[list[str], list[str]]:
+    """Straight-line Python statements evaluating ``exprs``, and the local
+    names holding their values.  Argument ``i`` is read as ``arg.format(i)``;
+    temporaries are named ``t0, t1, ...`` and the scale accumulates in ``_s``."""
     index = {name: i for i, name in enumerate(arg_names)}
     lines: list[str] = []
     names: dict[int, str] = {}
-    counter = [0]
 
     def emit(node: Expression) -> str:
         key = id(node)
@@ -774,7 +794,7 @@ def compile_exprs(
             name = node.symbol.name
             if name not in index:
                 raise ExprError(f"no value assigned to symbol {name!r}")
-            text = f"_v[{index[name]}]"
+            text = arg.format(index[name])
         elif isinstance(node, Sum):
             text = " + ".join(emit(t) for t in node.terms)
         elif isinstance(node, Product):
@@ -795,24 +815,37 @@ def compile_exprs(
             text = f"-{emit(node.arg)}"
         else:
             raise TypeError(f"cannot compile {type(node).__name__}")
-        var = f"t{counter[0]}"
-        counter[0] += 1
+        var = f"t{len(names)}"
         lines.append(f"{var} = {text}")
         if track_scale:
             lines.append(f"_s = _m(_s, {var} if {var} >= 0.0 else -{var})")
         names[key] = var
         return var
 
-    results = [emit(e) for e in exprs]
-    body = ["def _fn(_v):", "    _s = 0.0"]
-    body.extend(f"    {line}" for line in lines)
-    body.append(f"    return [{', '.join(results)}], _s")
-    src = "\n".join(body)
+    results = [emit(e) for e in exprs]  # fills `lines`
+    return lines, results
+
+
+# Generated sources repeat at short distance (the same residual list checked
+# again, the same field at another step size); the largest are ~23 KB.
+COMPILE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _exec_source(src: str, den_guard: float) -> Callable:
+    """Execute generated source and return the ``_fn`` it defines.
+
+    The function depends on nothing but ``src`` and ``den_guard`` (which
+    only its singular-point message reads), so equal keys share one
+    function.  Its globals are ``_exp``, ``_m`` (max), ``_fin`` (isfinite),
+    ``_sing`` and ``SingularPointError``.
+    """
 
     def _sing(value: float):
         raise SingularPointError(f"denominator {value!r} within {den_guard} of zero")
 
-    scope: dict = {"_exp": math.exp, "_m": max, "_sing": _sing}
+    scope: dict = {"_exp": math.exp, "_m": max, "_fin": math.isfinite, "_sing": _sing,
+                   "SingularPointError": SingularPointError}
     exec(compile(src, "<bisymplectic-compiled>", "exec"), scope)
     return scope["_fn"]
 
@@ -856,8 +889,8 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     q = rng.randint(5, 48)
-    p_lo = math.ceil(lo * q)
-    p_hi = math.floor(hi * q)
+    p_lo = -(-lo.numerator * q // lo.denominator)  # ceil(lo * q)
+    p_hi = hi.numerator * q // hi.denominator  # floor(hi * q)
     return Fraction(rng.randint(p_lo, p_hi), q)
 
 

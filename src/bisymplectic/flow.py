@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Sequence
 
 from .expr import (
@@ -20,6 +22,9 @@ from .expr import (
     Expression,
     Rat,
     SingularPointError,
+    _emit_lines,
+    _exec_source,
+    _is_zero,
     compile_exprs,
     diff,
     product_of,
@@ -38,10 +43,6 @@ __all__ = [
 ]
 
 
-def _is0(e: Expression) -> bool:
-    return isinstance(e, Rat) and e.value == 0
-
-
 def hamiltonian_vector_field(P: PoissonField, H: Expression) -> list[Expression]:
     """xdot^i = P^{ij} d_j H, symbolically."""
     dH = [diff(H, s) for s in P.coords]
@@ -50,7 +51,7 @@ def hamiltonian_vector_field(P: PoissonField, H: Expression) -> list[Expression]
         terms = [
             product_of([P.entries[i][j], dH[j]])
             for j in range(P.dim)
-            if not (_is0(P.entries[i][j]) or _is0(dH[j]))
+            if not (_is_zero(P.entries[i][j]) or _is_zero(dH[j]))
         ]
         field.append(sum_of(terms) if terms else Rat(0))
     return field
@@ -68,12 +69,12 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
             raise ValueError("one state per time stamp is required")
-        for t0, t1 in zip(self.times, self.times[1:]):
-            if abs((t1 - t0) - self.step) > 1e-9 * max(1.0, abs(self.step)):
-                raise ValueError("time grid must advance by the declared step")
-        for state in self.states:
-            if not all(math.isfinite(v) for v in state):
-                raise ValueError("states must stay finite")
+        tol = 1e-9 * max(1.0, abs(self.step))
+        gaps = map(operator.sub, islice(self.times, 1, None), self.times)
+        if any(abs(gap - self.step) > tol for gap in gaps):
+            raise ValueError("time grid must advance by the declared step")
+        if not all(map(math.isfinite, chain.from_iterable(self.states))):
+            raise ValueError("states must stay finite")
 
     @property
     def final_time(self) -> float:
@@ -105,6 +106,38 @@ def canonical_start(
     raise SingularPointError("no nonsingular start point on the 1/2-and-1 grid")
 
 
+def _rk4_kernel(field: Sequence[Expression], names: Sequence[str], den_guard: float):
+    """Generated ``_fn(x0, h, steps) -> (times, states)``: the whole
+    fixed-step loop with the state in locals ``_x<i>`` and the field's body
+    inlined once per stage (stage input ``_v<i>``, slopes ``_a``..``_d``)."""
+    lines, results = _emit_lines(field, names, den_guard, False, arg="_v{}")
+    n = range(len(names))
+    state = "(" + "".join(f"_x{i}, " for i in n) + ")"
+    body = [
+        "def _fn(_x, _h, _n):",
+        f"    {state} = _x",
+        "    _h2 = _h / 2",
+        "    _h6 = _h / 6",
+        "    _times = [0.0]",
+        f"    _states = [{state}]",
+        "    for _k in range(_n):",
+        "        try:",
+        "            pass",  # the body of a zero-dimensional field is empty
+    ]
+    stages = (("_a", "_x{0}"), ("_b", "_x{0} + _h2 * _a{0}"), ("_c", "_x{0} + _h2 * _b{0}"),
+              ("_d", "_x{0} + _h * _c{0}"))
+    for slope, stage_input in stages:
+        body.extend(f"            _v{i} = {stage_input.format(i)}" for i in n)
+        body.extend(f"            {line}" for line in lines)
+        body.extend(f"            {slope}{i} = {r}" for i, r in zip(n, results))
+    body += ["        except (SingularPointError, OverflowError):", "            break"]
+    body.extend(f"        _x{i} = _x{i} + _h6 * (_a{i} + 2 * _b{i} + 2 * _c{i} + _d{i})" for i in n)
+    finite = " and ".join(f"_fin(_x{i})" for i in n) or "True"
+    body += [f"        if not ({finite}):", "            break", "        _times.append((_k + 1) * _h)",
+             f"        _states.append({state})", "    return _times, _states"]
+    return _exec_source("\n".join(body), den_guard)
+
+
 def integrate(
     coords: Sequence,
     field: Sequence[Expression],
@@ -116,7 +149,10 @@ def integrate(
     """Classical fourth-order Runge-Kutta with a fixed step.
 
     The step is snapped so the grid lands exactly on the horizon.  A guard
-    trip or overflow stops early and returns the partial trajectory.
+    trip or overflow stops early and returns the partial trajectory, as does
+    a state that is no longer finite.  The loop runs inside one generated
+    function per field, in the float operations of the textbook update
+    ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` with stage inputs ``x + h/2 k``.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("step and horizon must be positive")
@@ -124,31 +160,8 @@ def integrate(
         raise ValueError("field, start point, and coordinates must align")
     steps = max(1, round(T / dt))
     h = T / steps
-    fn = compile_exprs(list(field), [s.name for s in coords], den_guard=den_guard, track_scale=False)
-
-    def deriv(state):
-        values, _ = fn(state)
-        return values
-
-    x = [float(v) for v in x0]
-    times = [0.0]
-    states = [tuple(x)]
-    for k in range(steps):
-        try:
-            k1 = deriv(x)
-            k2 = deriv([xi + h / 2 * di for xi, di in zip(x, k1)])
-            k3 = deriv([xi + h / 2 * di for xi, di in zip(x, k2)])
-            k4 = deriv([xi + h * di for xi, di in zip(x, k3)])
-        except (SingularPointError, OverflowError):
-            break
-        x = [
-            xi + h / 6 * (a + 2 * b + 2 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
-        if not all(math.isfinite(v) for v in x):
-            break
-        times.append((k + 1) * h)
-        states.append(tuple(x))
+    kernel = _rk4_kernel(list(field), [s.name for s in coords], den_guard)
+    times, states = kernel([float(v) for v in x0], h, steps)
     return Trajectory(tuple(times), tuple(states), "rk4", h)
 
 
@@ -180,7 +193,7 @@ def conservation_drift(
     reference = None
     worst = [0.0] * len(F)
     for state in traj.states:
-        values, _ = fn(list(state))
+        values, _ = fn(state)
         if reference is None:
             reference = values
             continue
@@ -206,15 +219,16 @@ def export_csv(
     if invariants:
         fn = compile_exprs([e for _, e in invariants], names, den_guard=den_guard, track_scale=False)
 
+    # csv writes a float as str(), which is its repr
+    if fn is None:
+        rows = ((t, *state) for t, state in zip(traj.times, traj.states))
+    else:
+        rows = ((t, *state, *fn(state)[0]) for t, state in zip(traj.times, traj.states))
+
     def write(handle) -> None:
         writer = csv.writer(handle)
         writer.writerow(["t"] + names + [name for name, _ in invariants])
-        for t, state in zip(traj.times, traj.states):
-            row = [repr(t)] + [repr(v) for v in state]
-            if fn is not None:
-                values, _ = fn(list(state))
-                row.extend(repr(v) for v in values)
-            writer.writerow(row)
+        writer.writerows(rows)
 
     if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
         with open(out, "w", newline="") as handle:

@@ -13,20 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import Expression, Neg, Quotient, Rat, as_expr, product_of, sum_of
+from .expr import Expression, Neg, Quotient, Rat, _is_zero, product_of, sum_of
 
 __all__ = [
     "SingularMatrixError",
     "frac_identity",
     "frac_det",
     "frac_inverse",
-    "frac_solve",
-    "expr_identity",
     "expr_matmul",
-    "expr_mat_add",
-    "expr_mat_sub",
-    "expr_mat_scale",
-    "expr_transpose",
     "expr_det",
     "expr_inverse",
     "expr_eval_matrix",
@@ -75,12 +69,6 @@ def frac_inverse(m: Sequence[Sequence[Fraction]]) -> FracMatrix:
     return _elim(a, frac_identity(len(a)))
 
 
-def frac_solve(m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
-    a = [[Fraction(v) for v in row] for row in m]
-    rhs = [[Fraction(v)] for v in b]
-    return [row[0] for row in _elim(a, rhs)]
-
-
 def frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     a = [[Fraction(v) for v in row] for row in m]
     n = len(a)
@@ -106,14 +94,6 @@ def frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _is_zero(e: Expression) -> bool:
-    return isinstance(e, Rat) and e.value == 0
-
-
-def expr_identity(n: int) -> ExprMatrix:
-    return [[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)]
-
-
 def expr_matmul(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
     n, k, m = len(a), len(b), len(b[0])
     out: ExprMatrix = []
@@ -128,31 +108,6 @@ def expr_matmul(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
             row.append(sum_of(terms))
         out.append(row)
     return out
-
-
-def expr_mat_add(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
-    return [[sum_of([x, y]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _sub_entry(x: Expression, y: Expression) -> Expression:
-    if _is_zero(y):
-        return x
-    if _is_zero(x):
-        return Neg(y)
-    return sum_of([x, Neg(y)])
-
-
-def expr_mat_sub(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
-    return [[_sub_entry(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def expr_mat_scale(c, a: ExprMatrix) -> ExprMatrix:
-    c = as_expr(c)
-    return [[Rat(0) if _is_zero(v) else product_of([c, v]) for v in row] for row in a]
-
-
-def expr_transpose(a: ExprMatrix) -> ExprMatrix:
-    return [list(col) for col in zip(*a)]
 
 
 def expr_det(m: ExprMatrix) -> Expression:

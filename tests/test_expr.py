@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bisymplectic.expr import (
+    COMPILE_CACHE_SIZE,
     Exp,
     InconclusiveError,
     IntPower,
@@ -21,6 +24,7 @@ from bisymplectic.expr import (
     Symbol,
     UnknownSymbolError,
     PARAMETER_POOL,
+    _exec_source,
     compile_exprs,
     diff,
     equiv_zero,
@@ -321,6 +325,77 @@ class TestCompiled:
         v, _ = fn([0.0, 1.0])
         assert v[0] == pytest.approx(4.0)
         assert v[1] == pytest.approx(3.0)
+
+
+class TestCompileCache:
+    def test_equal_sources_reuse_one_function(self):
+        # two parses are two trees, but they generate the same source
+        first = compile_exprs([parse_expr("x1 * exp(x2) + 1/x1", X)], ["x1", "x2"])
+        again = compile_exprs([parse_expr("x1 * exp(x2) + 1/x1", X)], ["x1", "x2"])
+        assert again is first
+
+    def test_den_guard_is_part_of_the_key(self):
+        # no quotient: the sources are equal, the entries are not
+        plain = [parse_expr("x1 + 3", X)]
+        assert compile_exprs(plain, ["x1"], den_guard=1e-8) is not compile_exprs(plain, ["x1"], den_guard=0.5)
+        # with a quotient each function guards, and reports, its own bound
+        pole = [parse_expr("1/(x1 - 1)", X)]
+        tight = compile_exprs(pole, ["x1"], den_guard=1e-8)
+        wide = compile_exprs(pole, ["x1"], den_guard=0.5)
+        assert tight([1.25])[0] == [4.0]
+        with pytest.raises(SingularPointError, match="within 0.5 of zero"):
+            wide([1.25])
+        with pytest.raises(SingularPointError, match="within 1e-08 of zero"):
+            tight([1.0])
+
+    def test_cache_stays_within_its_bound(self):
+        for k in range(2 * COMPILE_CACHE_SIZE + 5):
+            compile_exprs([Sum(x1, Rat(k))], ["x1"])
+        info = _exec_source.cache_info()
+        assert info.maxsize == COMPILE_CACHE_SIZE
+        assert info.currsize <= COMPILE_CACHE_SIZE
+
+
+@st.composite
+def _compilable(draw, symbols, depth):
+    """Random tree over every node type, exponents -2..3."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return Sym(draw(st.sampled_from(symbols)))
+        return Rat(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5))))
+    kind = draw(st.sampled_from(["sum", "prod", "quot", "pow", "exp", "neg"]))
+    sub = _compilable(symbols, depth - 1)
+    if kind == "sum":
+        return Sum(draw(sub), draw(sub), *([draw(sub)] if draw(st.booleans()) else []))
+    if kind == "prod":
+        return Product(draw(sub), draw(sub))
+    if kind == "quot":
+        return Quotient(draw(sub), draw(sub))
+    if kind == "pow":
+        return IntPower(draw(sub), draw(st.integers(-2, 3)))
+    if kind == "exp":
+        return Exp(draw(_compilable(symbols, 1)))
+    return Neg(draw(sub))
+
+
+class TestCompiledProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_compilable([X["x1"], X["x2"], X["x3"]], 4), min_size=1, max_size=4),
+           st.integers(0, 10**6))
+    def test_compiled_agrees_with_evaluate(self, trees, seed):
+        names = ["x1", "x2", "x3"]
+        fn = compile_exprs(trees, names)
+        dom = SampleDomain(coords=(X["x1"], X["x2"], X["x3"]))
+        env = sample_point(dom, trial_rng(seed, 0))
+        try:
+            want = [evaluate_with_scale(t, env) for t in trees]
+        except (SingularPointError, OverflowError):
+            return
+        got, scale = fn([float(env[n]) for n in names])
+        assert scale == pytest.approx(max(s for _, s in want), rel=1e-9)
+        for g, (w, s) in zip(got, want):
+            assert abs(g - float(w)) <= 1e-9 * (1.0 + s)
 
 
 class TestOperatorSugar:

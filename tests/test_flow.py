@@ -1,15 +1,28 @@
 """Flow layer: field construction, fixed-step integration, drift audits."""
 
+import csv
 import io
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bisymplectic.expr import (
+    DEN_GUARD,
+    Exp,
+    IntPower,
+    Neg,
+    Product,
+    Quotient,
     Rat,
     SampleDomain,
     SingularPointError,
+    Sum,
+    Sym,
     Symbol,
+    compile_exprs,
     equiv_zero,
     parse_expr,
     subst,
@@ -204,3 +217,153 @@ class TestExportCsv:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "t,u,v"
         assert len(lines) == len(traj.times) + 1
+
+
+# ---------------------------------------------------------------------------
+# the generated RK4 kernel and the CSV writer against plain references
+
+
+def reference_rk4(coords, field, x0, dt, T, den_guard=DEN_GUARD):
+    """The textbook loop, one compiled field call per stage: the kernel in
+    `integrate` must reproduce its times and states exactly."""
+    steps = max(1, round(T / dt))
+    h = T / steps
+    fn = compile_exprs(list(field), [s.name for s in coords], den_guard=den_guard, track_scale=False)
+
+    def deriv(state):
+        return fn(state)[0]
+
+    x = [float(v) for v in x0]
+    times, states = [0.0], [tuple(x)]
+    for k in range(steps):
+        try:
+            k1 = deriv(x)
+            k2 = deriv([xi + h / 2 * di for xi, di in zip(x, k1)])
+            k3 = deriv([xi + h / 2 * di for xi, di in zip(x, k2)])
+            k4 = deriv([xi + h * di for xi, di in zip(x, k3)])
+        except (SingularPointError, OverflowError):
+            break
+        x = [xi + h / 6 * (a + 2 * b + 2 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        if not all(math.isfinite(v) for v in x):
+            break
+        times.append((k + 1) * h)
+        states.append(tuple(x))
+    return tuple(times), tuple(states), h
+
+
+def reference_csv(coords, traj, invariants=(), den_guard=DEN_GUARD):
+    """One `repr` per field, one `writerow` per state."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["t"] + [s.name for s in coords] + [name for name, _ in invariants])
+    fn = None
+    if invariants:
+        fn = compile_exprs([e for _, e in invariants], [s.name for s in coords],
+                           den_guard=den_guard, track_scale=False)
+    for t, state in zip(traj.times, traj.states):
+        row = [repr(t)] + [repr(v) for v in state]
+        if fn is not None:
+            row.extend(repr(v) for v in fn(list(state))[0])
+        writer.writerow(row)
+    return out.getvalue()
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+COORDS = tuple(Symbol(f"q{i}") for i in range(6))
+CONSTANTS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def trees(draw, symbols, depth, rational):
+    """Random field component: polynomial, or rational with guarded poles."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return Sym(draw(st.sampled_from(symbols)))
+        return Rat(draw(CONSTANTS))
+    kinds = ["sum", "prod", "pow", "neg"] + (["quot", "negpow", "exp"] if rational else [])
+    kind = draw(st.sampled_from(kinds))
+    sub = trees(symbols, depth - 1, rational)
+    if kind == "sum":
+        return Sum(draw(sub), draw(sub))
+    if kind == "prod":
+        return Product(draw(sub), draw(sub))
+    if kind == "pow":
+        return IntPower(draw(sub), draw(st.integers(2, 3)))
+    if kind == "negpow":
+        return IntPower(draw(sub), draw(st.integers(-2, -1)))
+    if kind == "quot":
+        return Quotient(draw(sub), draw(sub))
+    if kind == "exp":
+        return Exp(draw(trees(symbols, 1, False)))
+    return Neg(draw(sub))
+
+
+@st.composite
+def flows(draw):
+    dim = draw(st.integers(1, 6))
+    coords = COORDS[:dim]
+    rational = draw(st.booleans())
+    field = [draw(trees(coords, 3, rational)) for _ in coords]
+    x0 = [draw(st.sampled_from([-1.5, -0.5, 0.25, 0.5, 1.0, 2.0])) for _ in coords]
+    # a first component that hits a pole (guard trip), overflows in `**` or
+    # exp (OverflowError), or runs to inf (the isfinite stop)
+    q0 = Sym(coords[0])
+    stopper = draw(st.sampled_from([None, "pole", "power", "product", "exp"]))
+    if stopper is not None:
+        field[0] = {
+            "pole": Neg(Quotient(Rat(1), q0)),
+            "power": IntPower(q0, 3),
+            "product": Product(q0, q0, q0),
+            "exp": Exp(Product(Rat(40), q0)),
+        }[stopper]
+        x0[0] = 0.5 if stopper == "pole" else 2.0
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.3]))
+    T = draw(st.sampled_from([0.05, 0.5, 2.0]))
+    den_guard = draw(st.sampled_from([DEN_GUARD, 1e-3, 0.2]))
+    return coords, field, x0, dt, T, den_guard
+
+
+class TestKernelMatchesReference:
+    @PROPERTY
+    @given(flows())
+    def test_integrate_equals_reference_loop(self, case):
+        coords, field, x0, dt, T, den_guard = case
+        traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
+        times, states, h = reference_rk4(coords, field, x0, dt, T, den_guard)
+        assert traj.step == h
+        assert traj.times == times
+        assert traj.states == states
+
+    @PROPERTY
+    @given(flows(), st.integers(0, 3))
+    def test_export_csv_equals_reference_writer(self, case, n_invariants):
+        coords, field, x0, dt, T, den_guard = case
+        traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
+        invariants = [(f"F{i}", field[i % len(field)]) for i in range(n_invariants)]
+        try:
+            want = reference_csv(coords, traj, invariants, den_guard)
+        except (SingularPointError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                export_csv(io.StringIO(), coords, traj, invariants, den_guard=den_guard)
+            return
+        got = io.StringIO()
+        export_csv(got, coords, traj, invariants, den_guard=den_guard)
+        assert got.getvalue() == want
+
+    def test_guard_trip_stops_where_reference_stops(self, uv):
+        field = parse_over(("1/v", "-1"), uv)
+        traj = integrate(uv, field, [0.0, 1.0], 0.01, 3.0)
+        times, states, _ = reference_rk4(uv, field, [0.0, 1.0], 0.01, 3.0)
+        assert 0.9 < traj.final_time < 1.1
+        assert (traj.times, traj.states) == (times, states)
+
+    @pytest.mark.parametrize("text", ["u^2", "u*u", "exp(u)"])
+    def test_blow_up_stops_where_reference_stops(self, uv, text):
+        # u' = u^2 from u = 1 leaves the floats before t = 1: `**` raises
+        # OverflowError, `*` reaches inf, exp raises; each stops the loop
+        field = parse_over((text, "0"), uv)
+        traj = integrate(uv, field, [1.0, 0.0], 1e-3, 3.0)
+        times, states, _ = reference_rk4(uv, field, [1.0, 0.0], 1e-3, 3.0)
+        assert not traj.reached(3.0)
+        assert (traj.times, traj.states) == (times, states)
