@@ -25,7 +25,6 @@ from .expr import (
     _emit_lines,
     _exec_source,
     _is_zero,
-    compile_exprs,
     diff,
     product_of,
     sum_of,
@@ -91,11 +90,13 @@ def canonical_start(
     expression is singular there, the lowest still-unbumped coordinate moves
     to 1 and the point is retried."""
     names = [s.name for s in coords]
-    fn = compile_exprs(list(exprs), names, den_guard=den_guard, track_scale=False)
+    # the drift audit's kernel on the one-state trajectory: an audit of the
+    # same list then reuses the compiled function
+    kernel = _drift_kernel(list(exprs), names, den_guard)
     point = [0.5] * len(names)
     for bump in range(len(names) + 1):
         try:
-            values, _ = fn(point)
+            values, _ = kernel((point,))
         except (SingularPointError, OverflowError):
             values = None
         if values is not None and all(math.isfinite(v) for v in values):
@@ -106,13 +107,19 @@ def canonical_start(
     raise SingularPointError("no nonsingular start point on the 1/2-and-1 grid")
 
 
+def _state(dim: int) -> str:
+    """``(_x0, _x1, )``: the tuple every generated kernel unpacks a state
+    into (as an assignment or ``for`` target) and packs it back from."""
+    return "(" + "".join(f"_x{i}, " for i in range(dim)) + ")"
+
+
 def _rk4_kernel(field: Sequence[Expression], names: Sequence[str], den_guard: float):
     """Generated ``_fn(x0, h, steps) -> (times, states)``: the whole
     fixed-step loop with the state in locals ``_x<i>`` and the field's body
     inlined once per stage (stage input ``_v<i>``, slopes ``_a``..``_d``)."""
     lines, results = _emit_lines(field, names, den_guard, False, arg="_v{}")
     n = range(len(names))
-    state = "(" + "".join(f"_x{i}, " for i in n) + ")"
+    state = _state(len(names))
     body = [
         "def _fn(_x, _h, _n):",
         f"    {state} = _x",
@@ -181,6 +188,27 @@ class DriftReport:
         return max(self.relative, default=0.0)
 
 
+def _drift_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: float):
+    """Generated ``_fn(states) -> (F(first state), max |F - F(first state)|)``
+    with each state in locals ``_x<i>`` and ``F`` inlined.  A maximum moves
+    only on ``d > w``, as in ``max(w, d)``, so a NaN difference never enters
+    it, and the first state's own difference (0 or NaN) leaves it at 0."""
+    lines, results = _emit_lines(F, names, den_guard, False, arg="_x{}")
+    m = range(len(results))
+    body = ["def _fn(_states):", "    _first = True"]
+    body.extend(f"    _w{j} = 0.0" for j in m)
+    body.append(f"    for {_state(len(names))} in _states:")
+    body.extend(f"        {line}" for line in lines)
+    body += ["        if _first:", "            _first = False"]
+    body.extend(f"            _r{j} = {r}" for j, r in enumerate(results))
+    for j, r in enumerate(results):
+        body += [f"        _d = abs({r} - _r{j})", f"        if _d > _w{j}: _w{j} = _d"]
+    refs = "".join(f"_r{j}, " for j in m)
+    worst = "".join(f"_w{j}, " for j in m)
+    body.append(f"    return ({refs}), ({worst})")
+    return _exec_source("\n".join(body), den_guard)
+
+
 def conservation_drift(
     coords: Sequence,
     traj: Trajectory,
@@ -188,21 +216,30 @@ def conservation_drift(
     den_guard: float = DEN_GUARD,
 ) -> DriftReport:
     """max_t |F(x(t)) - F(x(0))| per invariant; relative drift divides by
-    |F(x(0))| floored at 1 so near-zero reference values stay meaningful."""
-    fn = compile_exprs(list(F), [s.name for s in coords], den_guard=den_guard, track_scale=False)
-    reference = None
-    worst = [0.0] * len(F)
-    for state in traj.states:
-        values, _ = fn(state)
-        if reference is None:
-            reference = values
-            continue
-        for i, (v, v0) in enumerate(zip(values, reference)):
-            worst[i] = max(worst[i], abs(v - v0))
-    if reference is None:
+    |F(x(0))| floored at 1 so near-zero reference values stay meaningful.
+    The audit runs inside one generated function per invariant list."""
+    kernel = _drift_kernel(list(F), [s.name for s in coords], den_guard)
+    if not traj.states:
         raise ValueError("a trajectory needs at least one state")
+    reference, worst = kernel(traj.states)
     relative = tuple(w / max(1.0, abs(v0)) for w, v0 in zip(worst, reference))
-    return DriftReport(tuple(worst), relative)
+    return DriftReport(worst, relative)
+
+
+def _csv_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: float):
+    """Generated ``_fn(write, times, states)``: for each state one ``write``
+    of the row ``t,<state>,<F(state)>\\r\\n``, with the state in locals
+    ``_x<i>`` and ``F`` inlined.  ``%s`` is ``str``, the conversion csv
+    applies to these numbers (``repr`` for a float), and a number's text
+    never needs quoting, so the bytes are csv's."""
+    lines, results = _emit_lines(F, names, den_guard, False, arg="_x{}")
+    state = _state(len(names))
+    fields = ["_t"] + [f"_x{i}" for i in range(len(names))] + results
+    row = repr(",".join(["%s"] * len(fields)) + "\r\n")
+    body = ["def _fn(_write, _times, _states):", f"    for _t, {state} in zip(_times, _states):"]
+    body.extend(f"        {line}" for line in lines)
+    body.append(f"        _write({row} % ({''.join(f'{v}, ' for v in fields)}))")
+    return _exec_source("\n".join(body), den_guard)
 
 
 def export_csv(
@@ -213,22 +250,14 @@ def export_csv(
     den_guard: float = DEN_GUARD,
 ) -> None:
     """Write `t, <coordinates>, <invariant names>` rows; `out` is a path or a
-    text file object."""
+    text file object.  Rows are streamed, one ``write`` each, so a failing
+    invariant leaves the rows before it written."""
     names = [s.name for s in coords]
-    fn = None
-    if invariants:
-        fn = compile_exprs([e for _, e in invariants], names, den_guard=den_guard, track_scale=False)
-
-    # csv writes a float as str(), which is its repr
-    if fn is None:
-        rows = ((t, *state) for t, state in zip(traj.times, traj.states))
-    else:
-        rows = ((t, *state, *fn(state)[0]) for t, state in zip(traj.times, traj.states))
+    kernel = _csv_kernel([e for _, e in invariants], names, den_guard)
 
     def write(handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + names + [name for name, _ in invariants])
-        writer.writerows(rows)
+        csv.writer(handle).writerow(["t"] + names + [name for name, _ in invariants])
+        kernel(handle.write, traj.times, traj.states)
 
     if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
         with open(out, "w", newline="") as handle:

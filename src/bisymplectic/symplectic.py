@@ -3,8 +3,8 @@
 Two levels live here.  At the algebra level a skew matrix ``omega_ij`` is
 checked for closure against a bracket table and inverted into a constant
 Poisson matrix.  At the group level a :class:`PoissonField` holds coordinate
-dependent entries ``P^ij(x)``; brackets of functions, the field-level Jacobi
-residual, and the vielbein pushforward connect the two levels.
+dependent entries ``P^ij(x)``, on which brackets of functions and the
+field-level Jacobi residual are evaluated.
 
 Closure has two sign conventions in circulation: the cyclic all-plus form
 
@@ -35,7 +35,6 @@ from .expr import (
     as_expr,
     diff,
     equiv_zero,
-    evaluate,
     free_symbols,
     product_of,
     sum_of,
@@ -47,7 +46,6 @@ from .linalg import ExprMatrix, expr_eval_matrix, expr_inverse, frac_det
 __all__ = [
     "SymplecticForm",
     "PoissonField",
-    "Vielbein",
     "ClosureReport",
     "closure_residual",
     "check_nondegenerate",
@@ -58,8 +56,6 @@ __all__ = [
     "check_field_skew",
     "poisson_bracket",
     "jacobi_residual_field",
-    "vanishes_at_origin",
-    "push_poisson",
     "field_domain",
 ]
 
@@ -285,84 +281,3 @@ def jacobi_residual_field(field: PoissonField, seed: int = 0, trials: int = TRIA
     return equiv_zero(residuals, field_domain(field), seed=seed, trials=trials)
 
 
-def vanishes_at_origin(
-    field: PoissonField, threshold: float = 1e-6, probe: Fraction = Fraction(1, 10**7)
-) -> tuple[bool, float]:
-    """Necessary group-identity condition: every entry is below threshold at
-    the near-zero coordinate point.  Parameters are pinned to 1."""
-    env = {s.name: probe for s in field.coords}
-    for s in field.parameters():
-        env[s.name] = Fraction(1)
-    worst = 0.0
-    for row in field.entries:
-        for e in row:
-            v = abs(float(evaluate(e, env)))
-            if v > worst:
-                worst = v
-    return worst <= threshold, worst
-
-
-@dataclass(frozen=True)
-class Vielbein:
-    """Frame matrix e^i_j(x) with its exact inverse, over named coordinates."""
-
-    coords: tuple[Symbol, ...]
-    e: tuple
-    einv: tuple
-
-    @classmethod
-    def from_frame(cls, coords: Sequence[Symbol], e: Sequence[Sequence[object]]) -> "Vielbein":
-        mat = [[as_expr(v) for v in row] for row in e]
-        if any(len(row) != len(mat) for row in mat):
-            raise ValueError("frame matrix must be square")
-        inv = expr_inverse(mat)
-        return cls(tuple(coords), tuple(tuple(r) for r in mat), tuple(tuple(r) for r in inv))
-
-    def check_duality(self, seed: int = 0, trials: int = TRIALS) -> ZeroTestReport:
-        """e^i_j e_k^j = delta^i_k under randomized sampling."""
-        n = len(self.e)
-        residuals = []
-        for i in range(n):
-            for k in range(n):
-                terms = [
-                    product_of([self.e[i][j], self.einv[j][k]])
-                    for j in range(n)
-                    if not (_is_zero(self.e[i][j]) or _is_zero(self.einv[j][k]))
-                ]
-                acc = sum_of(terms)
-                if i == k:
-                    acc = sum_of([acc, Rat(-1)])
-                residuals.append(acc)
-        coord_names = {s.name for s in self.coords}
-        params = tuple(
-            s
-            for s in parameter_symbols(x for row in self.e for x in row)
-            if s.name not in coord_names
-        )
-        domain = SampleDomain(self.coords, params)
-        return equiv_zero(residuals, domain, seed=seed, trials=trials)
-
-
-def push_poisson(vb: Vielbein, P: ExprMatrix) -> PoissonField:
-    """Group-level field P^ij(x) = e^i_k e^j_l P^kl from a constant matrix."""
-    duality = vb.check_duality()
-    if not duality.zero:
-        raise ValueError(
-            f"frame fails inverse consistency: residual {duality.max_residual:.3e} at {duality.witness}"
-        )
-    n = len(vb.e)
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = []
-            for k in range(n):
-                if _is_zero(vb.e[i][k]):
-                    continue
-                for l in range(n):
-                    if _is_zero(P[k][l]) or _is_zero(vb.e[j][l]):
-                        continue
-                    terms.append(product_of([vb.e[i][k], vb.e[j][l], P[k][l]]))
-            row.append(sum_of(terms))
-        grid.append(tuple(row))
-    return PoissonField(n, vb.coords, tuple(grid))

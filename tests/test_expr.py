@@ -398,6 +398,102 @@ class TestCompiledProperty:
             assert abs(g - float(w)) <= 1e-9 * (1.0 + s)
 
 
+@st.composite
+def _quadratic(draw, x, others, depth):
+    """A tree of degree <= 2 in ``x`` and that degree bound; ``x`` appears
+    in no divisor, so ``x``-free quotients only scale the coefficients."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.sampled_from([x, *others, None]))
+        if leaf is None:
+            return Rat(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))), 0
+        return Sym(leaf), int(leaf is x)
+    kind = draw(st.sampled_from(["sum", "prod", "quot", "square", "neg"]))
+    a, da = draw(_quadratic(x, others, depth - 1))
+    if kind == "neg":
+        return Neg(a), da
+    if kind == "square":
+        return (IntPower(a, 2), 2 * da) if da <= 1 else (a, da)
+    b, db = draw(_quadratic(x, others, depth - 1))
+    if kind == "prod" and da + db <= 2:
+        if draw(st.booleans()):  # a third factor, when the degree allows it
+            c, dc = draw(_quadratic(x, others, 0))
+            if da + db + dc <= 2:
+                return Product(a, b, c), da + db + dc
+        return Product(a, b), da + db
+    if kind == "quot" and db == 0:
+        return Quotient(a, b), da
+    return Sum(a, b), max(da, db)
+
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+def _subtrees(t):
+    """``t`` and every node below it."""
+    yield t
+    if isinstance(t, Sum):
+        children = t.terms
+    elif isinstance(t, Product):
+        children = t.factors
+    elif isinstance(t, Quotient):
+        children = (t.num, t.den)
+    elif isinstance(t, IntPower):
+        children = (t.base,)
+    elif isinstance(t, (Exp, Neg)):
+        children = (t.arg,)
+    else:
+        children = ()
+    for child in children:
+        yield from _subtrees(child)
+
+
+def _contexts(t, u):
+    """``t`` alone and as a child of each kind of node, so that every node
+    type meets every parent's precedence: drawn trees alone rarely nest that
+    way (in 200 draws of depth 4, none held a sum subtracted inside a sum)."""
+    return [t, Sum(u, t), Sum(t, u), Sum(u, Neg(t)), Sum(Neg(t), u), Product(u, t), Product(t, u),
+            Quotient(u, t), Quotient(t, u), IntPower(t, 2), IntPower(t, -1), Neg(t), Exp(t)]
+
+
+class TestExpressionProperties:
+    @PROPERTY
+    @given(_compilable([X["x1"], X["x2"], X["x3"]], 3), _compilable([X["x1"], X["x2"]], 1),
+           st.integers(0, 10**6))
+    def test_render_parse_is_stable_after_one_round(self, t, u, seed):
+        env = sample_point(SampleDomain(coords=(X["x1"], X["x2"], X["x3"])), trial_rng(seed, 0))
+        for tree in _contexts(t, u):
+            once = parse_expr(render(tree), X)
+            twice = parse_expr(render(once), X)
+            assert twice == once
+            assert render(twice) == render(once)
+            try:
+                want = evaluate(tree, env)
+            except (SingularPointError, OverflowError) as exc:
+                with pytest.raises(type(exc)):
+                    evaluate(once, env)
+                continue
+            got = evaluate(once, env)
+            assert type(got) is type(want)
+            assert got == want
+
+    @PROPERTY
+    @given(_quadratic(X["x1"], [X["x2"], X["x3"]], 4), RATIONALS, RATIONALS, RATIONALS,
+           st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+    def test_diff_equals_central_difference_on_quadratics(self, case, a, b, c, h):
+        env = {"x1": a, "x2": b, "x3": c}
+        for p in _subtrees(case[0]):  # each one is of degree <= 2 in x1 as well
+            try:
+                up = evaluate(p, dict(env, x1=a + h))
+                dn = evaluate(p, dict(env, x1=a - h))
+                got = evaluate(diff(p, X["x1"]), env)
+            except SingularPointError:
+                continue
+            assert isinstance(got, Fraction)
+            assert got == (up - dn) / (2 * h)
+
+
 class TestOperatorSugar:
     def test_operators_build_flattened_trees(self):
         t = x1 + x2 + 3

@@ -251,9 +251,9 @@ def reference_rk4(coords, field, x0, dt, T, den_guard=DEN_GUARD):
     return tuple(times), tuple(states), h
 
 
-def reference_csv(coords, traj, invariants=(), den_guard=DEN_GUARD):
-    """One `repr` per field, one `writerow` per state."""
-    out = io.StringIO()
+def reference_csv(out, coords, traj, invariants=(), den_guard=DEN_GUARD):
+    """One `repr` per field, one `writerow` per state, into the text buffer
+    `out`: a raising invariant leaves the rows before it there."""
     writer = csv.writer(out)
     writer.writerow(["t"] + [s.name for s in coords] + [name for name, _ in invariants])
     fn = None
@@ -265,7 +265,20 @@ def reference_csv(coords, traj, invariants=(), den_guard=DEN_GUARD):
         if fn is not None:
             row.extend(repr(v) for v in fn(list(state))[0])
         writer.writerow(row)
-    return out.getvalue()
+
+
+def reference_drift(coords, traj, F, den_guard=DEN_GUARD):
+    """The plain audit, one compiled call per state and `max` per invariant:
+    the kernel in `conservation_drift` must reproduce its report exactly."""
+    fn = compile_exprs(list(F), [s.name for s in coords], den_guard=den_guard, track_scale=False)
+    if not traj.states:
+        raise ValueError("a trajectory needs at least one state")
+    reference = fn(list(traj.states[0]))[0]
+    worst = [0.0] * len(F)
+    for state in traj.states[1:]:
+        for i, (v, v0) in enumerate(zip(fn(list(state))[0], reference)):
+            worst[i] = max(worst[i], abs(v - v0))
+    return DriftReport(tuple(worst), tuple(w / max(1.0, abs(v0)) for w, v0 in zip(worst, reference)))
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -341,15 +354,31 @@ class TestKernelMatchesReference:
         coords, field, x0, dt, T, den_guard = case
         traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
         invariants = [(f"F{i}", field[i % len(field)]) for i in range(n_invariants)]
+        want, got = io.StringIO(), io.StringIO()
         try:
-            want = reference_csv(coords, traj, invariants, den_guard)
+            reference_csv(want, coords, traj, invariants, den_guard)
         except (SingularPointError, OverflowError) as exc:
             with pytest.raises(type(exc)):
-                export_csv(io.StringIO(), coords, traj, invariants, den_guard=den_guard)
+                export_csv(got, coords, traj, invariants, den_guard=den_guard)
+        else:
+            export_csv(got, coords, traj, invariants, den_guard=den_guard)
+        assert got.getvalue() == want.getvalue()
+
+    @PROPERTY
+    @given(flows(), st.data())
+    def test_conservation_drift_equals_reference_loop(self, case, data):
+        coords, field, x0, dt, T, den_guard = case
+        traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
+        F = data.draw(st.lists(trees(coords, 3, True), max_size=3))
+        try:
+            want = reference_drift(coords, traj, F, den_guard)
+        except (SingularPointError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                conservation_drift(coords, traj, F, den_guard=den_guard)
             return
-        got = io.StringIO()
-        export_csv(got, coords, traj, invariants, den_guard=den_guard)
-        assert got.getvalue() == want
+        got = conservation_drift(coords, traj, F, den_guard=den_guard)
+        # repr: exact for floats, and a NaN entry equals itself
+        assert repr((got.max_abs, got.relative)) == repr((want.max_abs, want.relative))
 
     def test_guard_trip_stops_where_reference_stops(self, uv):
         field = parse_over(("1/v", "-1"), uv)
@@ -367,3 +396,61 @@ class TestKernelMatchesReference:
         times, states, _ = reference_rk4(uv, field, [1.0, 0.0], 1e-3, 3.0)
         assert not traj.reached(3.0)
         assert (traj.times, traj.states) == (times, states)
+
+
+class TestAuditKernels:
+    def test_one_state_has_no_drift(self, uv):
+        traj = Trajectory((0.0,), ((1.0, 2.0),), "rk4", 0.1)
+        F = parse_over(("u + v", "1/u"), uv)
+        report = conservation_drift(uv, traj, F)
+        assert (report.max_abs, report.relative) == ((0.0, 0.0), (0.0, 0.0))
+        assert report == reference_drift(uv, traj, F)
+
+    def test_empty_trajectory_rejected(self, uv):
+        traj = Trajectory((), (), "rk4", 0.1)
+        with pytest.raises(ValueError):
+            conservation_drift(uv, traj, parse_over(("u",), uv))
+
+    def test_nan_values_never_enter_the_maximum(self, uv):
+        # u*u*u - v*v*v is inf - inf = nan at u = v = 1e200
+        u, v = (Sym(s) for s in uv)
+        F = [Sum(Product(u, u, u), Neg(Product(v, v, v)))]
+        later = Trajectory((0.0, 1.0, 2.0), ((1.0, 0.0), (1e200, 1e200), (2.0, 0.0)), "rk4", 1.0)
+        first = Trajectory((0.0, 1.0), ((1e200, 1e200), (2.0, 0.0)), "rk4", 1.0)
+        assert conservation_drift(uv, later, F) == reference_drift(uv, later, F) == DriftReport((7.0,), (7.0,))
+        assert conservation_drift(uv, first, F) == reference_drift(uv, first, F) == DriftReport((0.0,), (0.0,))
+
+    @pytest.mark.parametrize("number", [int, Fraction])
+    def test_csv_of_exact_states_equals_csv_writer(self, uv, number):
+        times = tuple(number(k) for k in range(4))
+        states = tuple((number(k) / 3 if number is Fraction else k, number(2 - k)) for k in range(4))
+        traj = Trajectory(times, states, "rk4", number(1))
+        invariants = [("uv", parse_over(("u*v",), uv)[0]), ("w", parse_over(("u + 1/2",), uv)[0])]
+        fn = compile_exprs([e for _, e in invariants], ["u", "v"], track_scale=False)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["t", "u", "v", "uv", "w"])
+        writer.writerows((t, *state, *fn(state)[0]) for t, state in zip(times, states))
+        got = io.StringIO()
+        export_csv(got, uv, traj, invariants)
+        assert got.getvalue() == want.getvalue()
+
+    def test_singular_invariant_leaves_the_rows_before_it(self, uv):
+        traj = Trajectory((0.0, 0.5, 1.0, 1.5), tuple((k / 2, 0.0) for k in range(4)), "rk4", 0.5)
+        invariants = [("pole", parse_over(("1/(u - 1)",), uv)[0])]
+        want, got = io.StringIO(), io.StringIO()
+        with pytest.raises(SingularPointError):
+            reference_csv(want, uv, traj, invariants)
+        with pytest.raises(SingularPointError):
+            export_csv(got, uv, traj, invariants)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().splitlines() == ["t,u,v,pole", "0.0,0.0,0.0,-1.0", "0.5,0.5,0.0,-2.0"]
+
+    @pytest.mark.parametrize("state", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_state_of_another_length_rejected(self, uv, state):
+        # the kernels unpack each state into one local per coordinate
+        traj = Trajectory((0.0, 0.1), (state, state), "rk4", 0.1)
+        with pytest.raises(ValueError):
+            export_csv(io.StringIO(), uv, traj)
+        with pytest.raises(ValueError):
+            conservation_drift(uv, traj, parse_over(("u",), uv))

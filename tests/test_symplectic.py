@@ -1,13 +1,11 @@
-"""Symplectic layer: closure, inversion, brackets, field Jacobi, pushforward."""
+"""Symplectic layer: closure, inversion, brackets, field Jacobi."""
 
 from fractions import Fraction
 
 import pytest
 
 from bisymplectic.expr import (
-    Exp,
     Neg,
-    Rat,
     SampleDomain,
     Sym,
     Symbol,
@@ -20,9 +18,7 @@ from bisymplectic.linalg import expr_eval_matrix, frac_inverse
 from bisymplectic.symplectic import (
     PoissonField,
     SymplecticForm,
-    Vielbein,
     canonical_field,
-    canonical_matrix,
     check_field_skew,
     check_nondegenerate,
     closure_residual,
@@ -31,8 +27,6 @@ from bisymplectic.symplectic import (
     invert_omega,
     jacobi_residual_field,
     poisson_bracket,
-    push_poisson,
-    vanishes_at_origin,
 )
 
 X = {f"x{i}": Symbol(f"x{i}") for i in range(1, 5)}
@@ -235,58 +229,3 @@ class TestFieldChecks:
         rows = [list(r) for r in px1.entries]
         rows[3][0] = rows[0][3]
         assert not check_field_skew(PoissonField(4, px1.coords, tuple(tuple(r) for r in rows))).zero
-
-    def test_identity_point_vanishing(self, px1):
-        ok, worst = vanishes_at_origin(px1)
-        assert ok and worst <= 1e-6
-        zc = tuple(Symbol(f"z{i}") for i in range(1, 5))
-        ok_const, worst_const = vanishes_at_origin(canonical_field(zc))
-        assert not ok_const and worst_const == 1.0
-
-
-class TestVielbein:
-    def test_identity_frame_constant_field(self):
-        vb = Vielbein.from_frame(XC, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
-        assert vb.check_duality().zero
-        field = push_poisson(vb, canonical_matrix(2))
-        want = canonical_matrix(2)
-        for i in range(4):
-            for j in range(4):
-                assert evaluate(field.entry(i, j), {}) == evaluate(want[i][j], {})
-
-    def test_diagonal_frame_scales_entry(self):
-        e = [[Rat(0)] * 4 for _ in range(4)]
-        e[0][0] = Exp(Sym(X["x1"]))
-        for i in (1, 2, 3):
-            e[i][i] = Rat(1)
-        vb = Vielbein.from_frame(XC, e)
-        field = push_poisson(vb, canonical_matrix(2))
-        assert equiv_zero(field.entry(0, 2) - Exp(Sym(X["x1"])), field_domain(field)).zero
-        assert equiv_zero(field.entry(1, 3) - Rat(1), field_domain(field)).zero
-
-    def test_frame_reproduces_catalog_field(self, px1):
-        u = xp("1 - exp(-x1)")
-        e = [
-            [u, Rat(0), Rat(0), Rat(0)],
-            [Rat(0), u, Rat(0), Rat(0)],
-            [xp("(1 - exp(-x1))^2 / 2"), Rat(0), Rat(1), Rat(0)],
-            [Rat(0), Rat(0), xp("x2 * exp(-x1) / (1 - exp(-x1))"), Rat(1)],
-        ]
-        vb = Vielbein.from_frame(XC, e)
-        assert vb.check_duality().zero
-        const = [[Rat(0)] * 4 for _ in range(4)]
-        const[0][3] = Rat(1)
-        const[3][0] = Rat(-1)
-        const[1][2] = Rat(1)
-        const[2][1] = Rat(-1)
-        field = push_poisson(vb, const)
-        residuals = [
-            field.entry(i, j) - px1.entry(i, j) for i in range(4) for j in range(i + 1, 4)
-        ]
-        assert equiv_zero(residuals, field_domain(px1)).zero
-
-    def test_broken_frame_rejected(self):
-        vb = Vielbein.from_frame(XC, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
-        tampered = Vielbein(vb.coords, vb.e, tuple(tuple(Rat(2) if i == j else Rat(0) for j in range(4)) for i in range(4)))
-        with pytest.raises(ValueError):
-            push_poisson(tampered, canonical_matrix(2))
