@@ -23,6 +23,7 @@ from .expr import (
     Expression,
     Rat,
     SampleDomain,
+    SingularPointError,
     ZeroTestReport,
     _is_zero,
     compile_exprs,
@@ -30,9 +31,8 @@ from .expr import (
     equiv_zero,
     free_symbols,
     product_of,
-    sample_point,
+    sample_rows,
     sum_of,
-    trial_rng,
 )
 from .liealg import MatrixRep, StructureConstants
 from .linalg import ExprMatrix, expr_matmul
@@ -307,7 +307,9 @@ def independence_rank(
     coords, F: Sequence[Expression], samples: int = 5, seed: int = 0, pivot_tol: float = 1e-8
 ) -> int:
     """Generic numeric rank of the Jacobian d F_a / d x^i: the largest rank
-    over sampled points, so a sample on a degenerate locus cannot lower it."""
+    over ``samples`` nonsingular points, the first ones among ``samples * 8``
+    rows of :func:`sample_rows`, so a sample on a degenerate locus cannot
+    lower it."""
     rows = len(F)
     cols = len(coords)
     jac = [diff(f, s) for f in F for s in coords]
@@ -316,18 +318,15 @@ def independence_rank(
         syms |= free_symbols(f)
     params = sorted((s for s in syms if s.kind == "parameter"), key=lambda s: s.name)
     domain = SampleDomain(tuple(coords), tuple(params))
-    names = domain.names()
-    fn = compile_exprs(jac, names)
+    fn = compile_exprs(jac, domain.names())
     ranks = []
-    trial = 0
-    while samples > 0 and trial < samples * 8:
-        env = sample_point(domain, trial_rng(seed, trial))
-        trial += 1
+    for row in sample_rows(domain, seed, samples * 8):
+        if len(ranks) == samples:
+            break
         try:
-            values, _ = fn([float(env[n]) for n in names])
-        except Exception:
+            values, _ = fn(row)
+        except (SingularPointError, OverflowError, ZeroDivisionError):
             continue
-        samples -= 1
         grid = [values[r * cols : (r + 1) * cols] for r in range(rows)]
         ranks.append(_float_rank(grid, pivot_tol))
     if not ranks:

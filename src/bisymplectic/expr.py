@@ -74,6 +74,8 @@ __all__ = [
     "SampleDomain",
     "PARAMETER_POOL",
     "sample_point",
+    "sample_rows",
+    "POINT_CACHE_SIZE",
     "sample_parameters",
     "trial_rng",
     "ZeroTestReport",
@@ -749,7 +751,6 @@ def compile_exprs(
     exprs: Sequence[Expression],
     arg_names: Sequence[str],
     den_guard: float = DEN_GUARD,
-    track_scale: bool = True,
 ) -> Callable[[Sequence[float]], tuple[list[float], float]]:
     """Compile expressions into one float-valued Python function.
 
@@ -758,14 +759,16 @@ def compile_exprs(
     evaluation per point.  Division and negative-power guards are emitted
     inline and raise :class:`SingularPointError` exactly like the interpreted
     path.  The returned callable maps a value sequence (ordered like
-    ``arg_names``) to ``(values, scale)`` where scale is the largest
-    intermediate magnitude (0.0 when ``track_scale`` is off).  Calls that
-    generate the same source get the same function back (see
-    :func:`_exec_source`).
+    ``arg_names``) to ``(values, scale)`` where scale is
+    ``max(0.0, |t0|, |t1|, ...)`` over the temporaries ``t0, t1, ...``, one
+    per emitted node: the largest intermediate magnitude, and never ``-0.0``
+    or NaN.  Calls that generate the same source get the same function back
+    (see :func:`_exec_source`).
     """
-    lines, results = _emit_lines(exprs, arg_names, den_guard, track_scale)
-    body = ["def _fn(_v):", "    _s = 0.0"]
+    lines, results, temps = _emit_lines(exprs, arg_names, den_guard)
+    body = ["def _fn(_v):"]
     body.extend(f"    {line}" for line in lines)
+    body.append(f"    _s = _m(0.0, {', '.join(f'abs({t})' for t in temps)})" if temps else "    _s = 0.0")
     body.append(f"    return [{', '.join(results)}], _s")
     return _exec_source("\n".join(body), den_guard)
 
@@ -774,12 +777,12 @@ def _emit_lines(
     exprs: Sequence[Expression],
     arg_names: Sequence[str],
     den_guard: float,
-    track_scale: bool,
     arg: str = "_v[{}]",
-) -> tuple[list[str], list[str]]:
-    """Straight-line Python statements evaluating ``exprs``, and the local
-    names holding their values.  Argument ``i`` is read as ``arg.format(i)``;
-    temporaries are named ``t0, t1, ...`` and the scale accumulates in ``_s``."""
+) -> tuple[list[str], list[str], list[str]]:
+    """Straight-line Python statements evaluating ``exprs``, the local names
+    holding their values, and every temporary's name in order of assignment.
+    Argument ``i`` is read as ``arg.format(i)``; temporaries are named
+    ``t0, t1, ...``."""
     index = {name: i for i, name in enumerate(arg_names)}
     lines: list[str] = []
     names: dict[int, str] = {}
@@ -817,13 +820,11 @@ def _emit_lines(
             raise TypeError(f"cannot compile {type(node).__name__}")
         var = f"t{len(names)}"
         lines.append(f"{var} = {text}")
-        if track_scale:
-            lines.append(f"_s = _m(_s, {var} if {var} >= 0.0 else -{var})")
         names[key] = var
         return var
 
     results = [emit(e) for e in exprs]  # fills `lines`
-    return lines, results
+    return lines, results, list(names.values())
 
 
 # Generated sources repeat at short distance (the same residual list checked
@@ -905,6 +906,27 @@ def sample_point(domain: SampleDomain, rng: random.Random) -> dict[str, Fraction
     return env
 
 
+# A verification run asks for a few dozen distinct point tables: 30 for
+# `bisym verify --all`, 22 for the identity benchmark's checks.
+POINT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=POINT_CACHE_SIZE)
+def sample_rows(domain: SampleDomain, seed: int, trials: int) -> tuple[tuple[float, ...], ...]:
+    """The points of trials ``0 .. trials-1`` as float rows ordered like
+    ``domain.names()``: trial ``k`` is ``sample_point(domain, trial_rng(seed, k))``.
+
+    Equal keys share one immutable table.  Only floats are kept; a caller
+    that needs a trial's exact point draws it again with :func:`sample_point`.
+    """
+    names = domain.names()
+    rows = []
+    for trial in range(trials):
+        env = sample_point(domain, trial_rng(seed, trial))
+        rows.append(tuple(float(env[n]) for n in names))
+    return tuple(rows)
+
+
 def sample_parameters(params: Sequence[Symbol], count: int, seed: int) -> list[dict[str, Fraction]]:
     """Deterministic list of parameter assignments from the nonzero pool."""
     out = []
@@ -940,27 +962,27 @@ def equiv_zero(
 ) -> ZeroTestReport:
     """Test whether expressions vanish identically on the sampling domain.
 
-    Every trial draws a fresh assignment (coordinates and parameters alike)
-    and accepts residuals up to ``abs_tol + rel_tol * scale`` where scale is
-    the largest intermediate magnitude of that trial's evaluation.  Singular
-    points are skipped; if every trial is singular the test is inconclusive
-    and raises instead of answering.
+    Every trial takes a fresh assignment (coordinates and parameters alike)
+    from the point table of :func:`sample_rows` and accepts residuals up to
+    ``abs_tol + rel_tol * scale`` where scale is the largest intermediate
+    magnitude of that trial's evaluation.  Singular points are skipped; if
+    every trial is singular the test is inconclusive and raises instead of
+    answering.  The witness is the exact point of the trial with the largest
+    failing residual, drawn again from its seed.
     """
     items = [exprs] if isinstance(exprs, Expression) else list(exprs)
     if not items:
         return ZeroTestReport(True, 0.0, None, None, 0, 0)
-    names = domain.names()
-    fn = compile_exprs(items, names, den_guard=den_guard, track_scale=True)
+    fn = compile_exprs(items, domain.names(), den_guard=den_guard)
     worst = 0.0
     worst_fail = -1.0
-    witness: dict[str, Fraction] | None = None
+    witness_trial = 0
     witness_index: int | None = None
     zero = True
     singular = 0
-    for trial in range(trials):
-        env = sample_point(domain, trial_rng(seed, trial))
+    for trial, row in enumerate(sample_rows(domain, seed, trials)):
         try:
-            values, scale = fn([float(env[n]) for n in names])
+            values, scale = fn(row)
         except (SingularPointError, OverflowError, ZeroDivisionError):
             singular += 1
             continue
@@ -973,8 +995,9 @@ def equiv_zero(
                 zero = False
                 if r > worst_fail:
                     worst_fail = r
-                    witness = dict(env)
+                    witness_trial = trial
                     witness_index = i
     if singular == trials:
         raise InconclusiveError(f"all {trials} sampled points were singular")
+    witness = None if zero else sample_point(domain, trial_rng(seed, witness_trial))
     return ZeroTestReport(zero, worst, witness, witness_index, trials, singular)

@@ -117,7 +117,7 @@ def _rk4_kernel(field: Sequence[Expression], names: Sequence[str], den_guard: fl
     """Generated ``_fn(x0, h, steps) -> (times, states)``: the whole
     fixed-step loop with the state in locals ``_x<i>`` and the field's body
     inlined once per stage (stage input ``_v<i>``, slopes ``_a``..``_d``)."""
-    lines, results = _emit_lines(field, names, den_guard, False, arg="_v{}")
+    lines, results, _ = _emit_lines(field, names, den_guard, arg="_v{}")
     n = range(len(names))
     state = _state(len(names))
     body = [
@@ -193,7 +193,7 @@ def _drift_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: floa
     with each state in locals ``_x<i>`` and ``F`` inlined.  A maximum moves
     only on ``d > w``, as in ``max(w, d)``, so a NaN difference never enters
     it, and the first state's own difference (0 or NaN) leaves it at 0."""
-    lines, results = _emit_lines(F, names, den_guard, False, arg="_x{}")
+    lines, results, _ = _emit_lines(F, names, den_guard, arg="_x{}")
     m = range(len(results))
     body = ["def _fn(_states):", "    _first = True"]
     body.extend(f"    _w{j} = 0.0" for j in m)
@@ -232,7 +232,7 @@ def _csv_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: float)
     ``_x<i>`` and ``F`` inlined.  ``%s`` is ``str``, the conversion csv
     applies to these numbers (``repr`` for a float), and a number's text
     never needs quoting, so the bytes are csv's."""
-    lines, results = _emit_lines(F, names, den_guard, False, arg="_x{}")
+    lines, results, _ = _emit_lines(F, names, den_guard, arg="_x{}")
     state = _state(len(names))
     fields = ["_t"] + [f"_x{i}" for i in range(len(names))] + results
     row = repr(",".join(["%s"] * len(fields)) + "\r\n")

@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bisymplectic.expr import (
+    ABS_TOL,
     COMPILE_CACHE_SIZE,
+    DEN_GUARD,
     Exp,
     InconclusiveError,
     IntPower,
@@ -24,6 +26,11 @@ from bisymplectic.expr import (
     Symbol,
     UnknownSymbolError,
     PARAMETER_POOL,
+    POINT_CACHE_SIZE,
+    REL_TOL,
+    TRIALS,
+    ZeroTestReport,
+    _emit_lines,
     _exec_source,
     compile_exprs,
     diff,
@@ -35,6 +42,7 @@ from bisymplectic.expr import (
     parse_expr,
     render,
     sample_point,
+    sample_rows,
     subst,
     trial_rng,
 )
@@ -378,6 +386,43 @@ def _compilable(draw, symbols, depth):
     return Neg(draw(sub))
 
 
+def _per_temporary_kernel(exprs, names, den_guard=DEN_GUARD):
+    """The kernel with the scale taken the plain way: every temporary's
+    assignment is followed by its own ``_s = max(_s, |t|)``, the absolute
+    value written as a comparison.  The reference for ``compile_exprs``'s
+    single ``max``."""
+    lines, results, temps = _emit_lines(exprs, names, den_guard)
+    assigned = set(temps)
+    body = ["def _fn(_v):", "    _s = 0.0"]
+    for line in lines:
+        body.append(f"    {line}")
+        var = line.split(" = ", 1)[0]
+        if var in assigned:
+            body.append(f"    _s = _m(_s, {var} if {var} >= 0.0 else -{var})")
+    body.append(f"    return [{', '.join(results)}], _s")
+
+    def _sing(value):
+        raise SingularPointError(f"denominator {value!r} within {den_guard} of zero")
+
+    scope = {"_exp": math.exp, "_m": max, "_sing": _sing}
+    exec("\n".join(body), scope)
+    return scope["_fn"]
+
+
+def _run(fn, row):
+    """Everything a kernel call shows, bit for bit: the values and the scale
+    as their reprs (which tell -0.0 from 0.0), or the error raised."""
+    try:
+        values, scale = fn(row)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return repr(values), repr(scale)
+
+
+# inputs that make -0.0, NaN and infinite intermediates
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e-300, 0.5, -1.25, 3.0])
+
+
 class TestCompiledProperty:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -385,17 +430,38 @@ class TestCompiledProperty:
            st.integers(0, 10**6))
     def test_compiled_agrees_with_evaluate(self, trees, seed):
         names = ["x1", "x2", "x3"]
-        fn = compile_exprs(trees, names)
         dom = SampleDomain(coords=(X["x1"], X["x2"], X["x3"]))
         env = sample_point(dom, trial_rng(seed, 0))
-        try:
-            want = [evaluate_with_scale(t, env) for t in trees]
-        except (SingularPointError, OverflowError):
-            return
-        got, scale = fn([float(env[n]) for n in names])
-        assert scale == pytest.approx(max(s for _, s in want), rel=1e-9)
-        for g, (w, s) in zip(got, want):
-            assert abs(g - float(w)) <= 1e-9 * (1.0 + s)
+        row = [float(env[n]) for n in names]
+        for p in (q for t in trees for q in _subtrees(t)):
+            try:
+                want, want_scale = evaluate_with_scale(p, env)
+            except (SingularPointError, OverflowError):
+                continue
+            fn = compile_exprs([p], names)
+            assert _run(fn, row) == _run(_per_temporary_kernel([p], names), row)
+            (got,), scale = fn(row)
+            assert scale == pytest.approx(want_scale, rel=1e-9)
+            assert abs(got - float(want)) <= 1e-9 * (1.0 + want_scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_compilable([X["x1"], X["x2"], X["x3"]], 4), min_size=1, max_size=3),
+           st.lists(SPECIAL, min_size=3, max_size=3))
+    def test_scale_equals_the_per_temporary_reference(self, trees, row):
+        names = ["x1", "x2", "x3"]
+        assert _run(compile_exprs(trees, names), row) == _run(_per_temporary_kernel(trees, names), row)
+        for p in (q for t in trees for q in _subtrees(t)):
+            assert _run(compile_exprs([p], names), row) == _run(_per_temporary_kernel([p], names), row)
+
+    def test_negative_zero_and_nan_never_become_the_scale(self):
+        trees = [Neg(x1), Sum(x1, x2)]  # temporaries x1, -x1, x2, x1 + x2
+        fn = compile_exprs(trees, ["x1", "x2"])
+        for row in ([0.0, math.nan], [-0.0, math.nan], [math.nan, -0.0], [math.nan, math.nan]):
+            assert _run(fn, row) == _run(_per_temporary_kernel(trees, ["x1", "x2"]), row)
+            assert repr(fn(row)[1]) == "0.0"
+        assert fn([math.nan, -2.5])[1] == 2.5
+        assert compile_exprs([], ["x1"])([1.0]) == ([], 0.0)
 
 
 @st.composite
@@ -492,6 +558,141 @@ class TestExpressionProperties:
                 continue
             assert isinstance(got, Fraction)
             assert got == (up - dn) / (2 * h)
+
+
+def reference_equiv_zero(exprs, domain, seed=0, trials=TRIALS, abs_tol=ABS_TOL, rel_tol=REL_TOL,
+                         den_guard=DEN_GUARD):
+    """The zero test as a plain loop: a fresh ``sample_point`` per trial and
+    the per-temporary scale.  ``equiv_zero`` must report exactly this."""
+    items = list(exprs)
+    if not items:
+        return ZeroTestReport(True, 0.0, None, None, 0, 0)
+    names = domain.names()
+    fn = _per_temporary_kernel(items, names, den_guard)
+    worst = 0.0
+    worst_fail = -1.0
+    witness = None
+    witness_index = None
+    zero = True
+    singular = 0
+    for trial in range(trials):
+        env = sample_point(domain, trial_rng(seed, trial))
+        try:
+            values, scale = fn([float(env[n]) for n in names])
+        except (SingularPointError, OverflowError, ZeroDivisionError):
+            singular += 1
+            continue
+        tol = abs_tol + rel_tol * scale
+        for i, v in enumerate(values):
+            r = abs(v)
+            if r > worst:
+                worst = r
+            if r > tol:
+                zero = False
+                if r > worst_fail:
+                    worst_fail = r
+                    witness = dict(env)
+                    witness_index = i
+    if singular == trials:
+        raise InconclusiveError(f"all {trials} sampled points were singular")
+    return ZeroTestReport(zero, worst, witness, witness_index, trials, singular)
+
+
+def _report(test, *args, **kwargs):
+    """A zero test's report field by field, or the inconclusive verdict."""
+    try:
+        rep = test(*args, **kwargs)
+    except InconclusiveError as exc:
+        return "inconclusive", str(exc)
+    return rep.zero, repr(rep.max_residual), rep.witness, rep.witness_index, rep.trials, rep.singular_trials
+
+
+A, B, C = Symbol("a", "parameter"), Symbol("b", "parameter"), Symbol("c")
+HUGE = Rat(10**200)  # a float product of two of these is inf
+
+
+@st.composite
+def _zero_test_case(draw):
+    """A residual list over a drawn domain (coordinates, parameters, a pinned
+    ``c``), some of it made to trip the guard, overflow ``exp``, give NaN,
+    cancel exactly, or tie with an earlier residual."""
+    coords = tuple(draw(st.lists(st.sampled_from([X["x1"], X["x2"], X["x3"]]),
+                                 min_size=1, max_size=3, unique=True)))
+    params = tuple(draw(st.lists(st.sampled_from([A, B]), max_size=2, unique=True)))
+    fixed = (("c", draw(RATIONALS)),) if draw(st.booleans()) else ()
+    lo, hi = draw(st.sampled_from([(Fraction(1, 5), Fraction(3, 2)), (Fraction(-1), Fraction(1)),
+                                   (Fraction(-3), Fraction(-1, 2))]))
+    domain = SampleDomain(coords, params, lo, hi, fixed)
+    symbols = list(coords + params) + ([C] if fixed else [])
+    first = Sym(coords[0])
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(_compilable(symbols, 3))
+        kind = draw(st.sampled_from(["plain", "plain", "pole", "exp", "nan", "cancel"]))
+        if kind == "pole":
+            t = Quotient(t, Sum(first, Rat(-draw(st.sampled_from([Fraction(1, 2), Fraction(1)])))))
+        elif kind == "exp":
+            t = Product(t, Exp(Product(Rat(draw(st.sampled_from([400, 1000]))), first)))
+        elif kind == "nan":
+            t = Sum(Product(HUGE, HUGE, t), Neg(Product(HUGE, HUGE, t)))
+        elif kind == "cancel":
+            t = Sum(t, Neg(t))
+        trees.append(t)
+    if draw(st.booleans()):
+        trees.append(trees[-1])  # equal residuals: the first one is the witness
+    return trees, domain
+
+
+class TestEquivZeroReference:
+    @settings(PROPERTY, max_examples=150)
+    @given(_zero_test_case(), st.integers(-2**40, 2**40), st.integers(1, 6),
+           st.sampled_from([0.0, ABS_TOL, 1e-2]), st.sampled_from([0.0, REL_TOL, 1e-1]),
+           st.sampled_from([DEN_GUARD, DEN_GUARD, 0.25]))
+    def test_equiv_zero_equals_the_plain_loop(self, case, seed, trials, abs_tol, rel_tol, den_guard):
+        trees, domain = case
+        kwargs = dict(seed=seed, trials=trials, abs_tol=abs_tol, rel_tol=rel_tol, den_guard=den_guard)
+        assert _report(equiv_zero, trees, domain, **kwargs) == _report(reference_equiv_zero, trees, domain, **kwargs)
+
+    def test_no_trials_is_inconclusive(self):
+        t = parse_expr("x1 - x2", X)
+        dom = SampleDomain(coords=(X["x1"], X["x2"]))
+        assert _report(equiv_zero, t, dom, trials=0) == _report(reference_equiv_zero, [t], dom, trials=0)
+        assert _report(equiv_zero, t, dom, trials=0)[0] == "inconclusive"
+
+
+class TestPointTable:
+    DOMAIN = SampleDomain(coords=(X["x2"], X["x1"]), params=(A,), fixed=(("c", Fraction(1, 3)),))
+
+    def test_rows_are_the_sampled_points_in_name_order(self):
+        names = self.DOMAIN.names()
+        want = tuple(tuple(float(sample_point(self.DOMAIN, trial_rng(17, k))[n]) for n in names)
+                     for k in range(6))
+        assert sample_rows(self.DOMAIN, 17, 6) == want
+
+    def test_equal_domains_share_one_table(self):
+        one = SampleDomain(coords=(Symbol("x1"), Symbol("x2")), params=(A,))
+        two = SampleDomain(coords=(Symbol("x1"), Symbol("x2")), params=(Symbol("a", "parameter"),))
+        assert one is not two and one == two
+        assert sample_rows(one, 3, 4) is sample_rows(two, 3, 4)
+        assert sample_rows(one, 3, 4) is not sample_rows(one, 3, 5)
+
+    def test_mutated_witness_leaves_later_reports_alone(self):
+        t = parse_expr("x1 - x2", X)
+        dom = SampleDomain(coords=(X["x1"], X["x2"]))
+        first = equiv_zero(t, dom, seed=3)
+        want = dict(first.witness)
+        first.witness["x1"] = Fraction(99)
+        del first.witness["x2"]
+        again = equiv_zero(t, dom, seed=3)
+        assert again.witness == want
+        assert _report(equiv_zero, t, dom, seed=3) == _report(reference_equiv_zero, [t], dom, seed=3)
+
+    def test_cache_stays_within_its_bound(self):
+        for k in range(2 * POINT_CACHE_SIZE + 5):
+            sample_rows(self.DOMAIN, k, 2)
+        info = sample_rows.cache_info()
+        assert info.maxsize == POINT_CACHE_SIZE
+        assert info.currsize <= POINT_CACHE_SIZE
 
 
 class TestOperatorSugar:

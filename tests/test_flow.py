@@ -228,7 +228,7 @@ def reference_rk4(coords, field, x0, dt, T, den_guard=DEN_GUARD):
     `integrate` must reproduce its times and states exactly."""
     steps = max(1, round(T / dt))
     h = T / steps
-    fn = compile_exprs(list(field), [s.name for s in coords], den_guard=den_guard, track_scale=False)
+    fn = compile_exprs(list(field), [s.name for s in coords], den_guard=den_guard)
 
     def deriv(state):
         return fn(state)[0]
@@ -258,8 +258,7 @@ def reference_csv(out, coords, traj, invariants=(), den_guard=DEN_GUARD):
     writer.writerow(["t"] + [s.name for s in coords] + [name for name, _ in invariants])
     fn = None
     if invariants:
-        fn = compile_exprs([e for _, e in invariants], [s.name for s in coords],
-                           den_guard=den_guard, track_scale=False)
+        fn = compile_exprs([e for _, e in invariants], [s.name for s in coords], den_guard=den_guard)
     for t, state in zip(traj.times, traj.states):
         row = [repr(t)] + [repr(v) for v in state]
         if fn is not None:
@@ -270,7 +269,7 @@ def reference_csv(out, coords, traj, invariants=(), den_guard=DEN_GUARD):
 def reference_drift(coords, traj, F, den_guard=DEN_GUARD):
     """The plain audit, one compiled call per state and `max` per invariant:
     the kernel in `conservation_drift` must reproduce its report exactly."""
-    fn = compile_exprs(list(F), [s.name for s in coords], den_guard=den_guard, track_scale=False)
+    fn = compile_exprs(list(F), [s.name for s in coords], den_guard=den_guard)
     if not traj.states:
         raise ValueError("a trajectory needs at least one state")
     reference = fn(list(traj.states[0]))[0]
@@ -426,7 +425,7 @@ class TestAuditKernels:
         states = tuple((number(k) / 3 if number is Fraction else k, number(2 - k)) for k in range(4))
         traj = Trajectory(times, states, "rk4", number(1))
         invariants = [("uv", parse_over(("u*v",), uv)[0]), ("w", parse_over(("u + 1/2",), uv)[0])]
-        fn = compile_exprs([e for _, e in invariants], ["u", "v"], track_scale=False)
+        fn = compile_exprs([e for _, e in invariants], ["u", "v"])
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["t", "u", "v", "uv", "w"])
