@@ -23,7 +23,6 @@ from .expr import (
     Expression,
     Rat,
     SampleDomain,
-    SingularPointError,
     ZeroTestReport,
     _is_zero,
     compile_exprs,
@@ -31,7 +30,7 @@ from .expr import (
     equiv_zero,
     free_symbols,
     product_of,
-    sample_rows,
+    sample_row,
     sum_of,
 )
 from .liealg import MatrixRep, StructureConstants
@@ -307,9 +306,7 @@ def independence_rank(
     coords, F: Sequence[Expression], samples: int = 5, seed: int = 0, pivot_tol: float = 1e-8
 ) -> int:
     """Generic numeric rank of the Jacobian d F_a / d x^i: the largest rank
-    over ``samples`` nonsingular points, the first ones among ``samples * 8``
-    rows of :func:`sample_rows`, so a sample on a degenerate locus cannot
-    lower it."""
+    over sampled points, so a sample on a degenerate locus cannot lower it."""
     rows = len(F)
     cols = len(coords)
     jac = [diff(f, s) for f in F for s in coords]
@@ -320,13 +317,15 @@ def independence_rank(
     domain = SampleDomain(tuple(coords), tuple(params))
     fn = compile_exprs(jac, domain.names())
     ranks = []
-    for row in sample_rows(domain, seed, samples * 8):
-        if len(ranks) == samples:
-            break
+    trial = 0
+    while samples > 0 and trial < samples * 8:
+        row = sample_row(domain, seed, trial)
+        trial += 1
         try:
             values, _ = fn(row)
-        except (SingularPointError, OverflowError, ZeroDivisionError):
+        except Exception:
             continue
+        samples -= 1
         grid = [values[r * cols : (r + 1) * cols] for r in range(rows)]
         ranks.append(_float_rank(grid, pivot_tol))
     if not ranks:

@@ -74,6 +74,7 @@ __all__ = [
     "SampleDomain",
     "PARAMETER_POOL",
     "sample_point",
+    "sample_row",
     "sample_rows",
     "POINT_CACHE_SIZE",
     "sample_parameters",
@@ -906,25 +907,26 @@ def sample_point(domain: SampleDomain, rng: random.Random) -> dict[str, Fraction
     return env
 
 
-# A verification run asks for a few dozen distinct point tables: 30 for
+# A verification run asks for a few dozen distinct point tables: 28 for
 # `bisym verify --all`, 22 for the identity benchmark's checks.
 POINT_CACHE_SIZE = 64
 
 
+def sample_row(domain: SampleDomain, seed: int, trial: int) -> tuple[float, ...]:
+    """The point ``sample_point(domain, trial_rng(seed, trial))`` as floats
+    ordered like ``domain.names()``."""
+    env = sample_point(domain, trial_rng(seed, trial))
+    return tuple(float(env[n]) for n in domain.names())
+
+
 @functools.lru_cache(maxsize=POINT_CACHE_SIZE)
 def sample_rows(domain: SampleDomain, seed: int, trials: int) -> tuple[tuple[float, ...], ...]:
-    """The points of trials ``0 .. trials-1`` as float rows ordered like
-    ``domain.names()``: trial ``k`` is ``sample_point(domain, trial_rng(seed, k))``.
+    """The rows of trials ``0 .. trials-1`` (:func:`sample_row`) as one table.
 
     Equal keys share one immutable table.  Only floats are kept; a caller
     that needs a trial's exact point draws it again with :func:`sample_point`.
     """
-    names = domain.names()
-    rows = []
-    for trial in range(trials):
-        env = sample_point(domain, trial_rng(seed, trial))
-        rows.append(tuple(float(env[n]) for n in names))
-    return tuple(rows)
+    return tuple(sample_row(domain, seed, trial) for trial in range(trials))
 
 
 def sample_parameters(params: Sequence[Symbol], count: int, seed: int) -> list[dict[str, Fraction]]:

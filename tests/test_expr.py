@@ -42,6 +42,7 @@ from bisymplectic.expr import (
     parse_expr,
     render,
     sample_point,
+    sample_row,
     sample_rows,
     subst,
     trial_rng,
@@ -424,35 +425,34 @@ SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e-
 
 
 class TestCompiledProperty:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(_compilable([X["x1"], X["x2"], X["x3"]], 4), min_size=1, max_size=4),
-           st.integers(0, 10**6))
-    def test_compiled_agrees_with_evaluate(self, trees, seed):
+           st.one_of(st.integers(0, 10**6), st.lists(SPECIAL, min_size=3, max_size=3)))
+    def test_compiled_agrees_with_evaluate(self, trees, point):
+        """The whole list, then every subtree alone: the kernel equals the
+        per-temporary reference bit for bit, and at a sampled point (drawn
+        from a seed) it agrees with exact evaluation.  A row of SPECIAL
+        values makes -0.0, NaN and infinite intermediates."""
         names = ["x1", "x2", "x3"]
-        dom = SampleDomain(coords=(X["x1"], X["x2"], X["x3"]))
-        env = sample_point(dom, trial_rng(seed, 0))
-        row = [float(env[n]) for n in names]
-        for p in (q for t in trees for q in _subtrees(t)):
+        env = None
+        if isinstance(point, int):
+            dom = SampleDomain(coords=(X["x1"], X["x2"], X["x3"]))
+            env = sample_point(dom, trial_rng(point, 0))
+            point = [float(env[n]) for n in names]
+        for exprs in [trees] + [[p] for t in trees for p in _subtrees(t)]:
+            fn = compile_exprs(exprs, names)
+            assert _run(fn, point) == _run(_per_temporary_kernel(exprs, names), point)
+            if env is None:
+                continue
             try:
-                want, want_scale = evaluate_with_scale(p, env)
+                want = [evaluate_with_scale(t, env) for t in exprs]
             except (SingularPointError, OverflowError):
                 continue
-            fn = compile_exprs([p], names)
-            assert _run(fn, row) == _run(_per_temporary_kernel([p], names), row)
-            (got,), scale = fn(row)
-            assert scale == pytest.approx(want_scale, rel=1e-9)
-            assert abs(got - float(want)) <= 1e-9 * (1.0 + want_scale)
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(st.lists(_compilable([X["x1"], X["x2"], X["x3"]], 4), min_size=1, max_size=3),
-           st.lists(SPECIAL, min_size=3, max_size=3))
-    def test_scale_equals_the_per_temporary_reference(self, trees, row):
-        names = ["x1", "x2", "x3"]
-        assert _run(compile_exprs(trees, names), row) == _run(_per_temporary_kernel(trees, names), row)
-        for p in (q for t in trees for q in _subtrees(t)):
-            assert _run(compile_exprs([p], names), row) == _run(_per_temporary_kernel([p], names), row)
+            got, scale = fn(point)
+            assert scale == pytest.approx(max(s for _, s in want), rel=1e-9)
+            for g, (w, s) in zip(got, want):
+                assert abs(g - float(w)) <= 1e-9 * (1.0 + s)
 
     def test_negative_zero_and_nan_never_become_the_scale(self):
         trees = [Neg(x1), Sum(x1, x2)]  # temporaries x1, -x1, x2, x1 + x2
@@ -668,6 +668,7 @@ class TestPointTable:
         want = tuple(tuple(float(sample_point(self.DOMAIN, trial_rng(17, k))[n]) for n in names)
                      for k in range(6))
         assert sample_rows(self.DOMAIN, 17, 6) == want
+        assert tuple(sample_row(self.DOMAIN, 17, k) for k in range(6)) == want
 
     def test_equal_domains_share_one_table(self):
         one = SampleDomain(coords=(Symbol("x1"), Symbol("x2")), params=(A,))
