@@ -5,10 +5,17 @@ two structure-constant tables, the basis change between them, optional
 classical matrices and acting matrices, both group-level fields, the square
 charts, the dynamical functions on each side, the cross-space maps, and the
 expected involutive families and map classification.  `load_entry` turns a
-document into package objects, `verify_entry` runs every applicable check in
-a fixed order, and `verify_all` aggregates a directory of entries into one
-summary.  Checks never raise: a broken field becomes a failing check with the
-exception text in its detail, so one bad entry cannot hide the others.
+document into package objects, `verify_entry` runs the check ladder, and
+`verify_all` aggregates a directory of entries into one summary.
+
+The ladder is one ordered table, `_LADDER`.  A row names its check, the
+entry fields the check needs and the reason reported when one of them is
+absent; checks that come in group/dual pairs are one method of `_Checks`
+taking the side.  `_Checks` builds what several checks share (the composed
+dynamical functions, the transported representation, the Q matrices, the
+exchange report) once, on first use.  Checks never raise: a broken field
+becomes a failing check with the exception text in its detail, so one bad
+entry cannot hide the others.
 """
 
 from __future__ import annotations
@@ -183,6 +190,15 @@ def _expr(text, symbols: Mapping[str, Symbol], path: str) -> Expression:
         raise CatalogError(f"{path}: {exc}") from None
 
 
+def _exprs(items, tab: Mapping[str, Symbol], path: str, length: int | None = None) -> tuple:
+    return tuple(_expr(t, tab, f"{path}[{k}]") for k, t in enumerate(_list(items, path, length)))
+
+
+def _matrix(items, tab: Mapping[str, Symbol], path: str, dim: int) -> tuple:
+    rows = _list(items, path, dim)
+    return tuple(_exprs(row, tab, f"{path}[{i}]", dim) for i, row in enumerate(rows))
+
+
 def _symtab(*groups: Sequence[Symbol]) -> dict[str, Symbol]:
     tab: dict[str, Symbol] = {}
     for group in groups:
@@ -268,19 +284,28 @@ def _parse_tensor(doc: dict, dim: int, ptab: Mapping[str, Symbol], path: str) ->
     return StructureConstants.from_brackets(dim, brackets, variance=variance)
 
 
-def _parse_rmatrix(doc: dict, dim: int, ptab: Mapping[str, Symbol], path: str) -> RMatrix:
-    variance = _str(_get(doc, "variance", path), f"{path}.variance")
-    wedge: dict[tuple[int, int], Expression] = {}
-    for n, item in enumerate(_list(_get(doc, "wedge", path), f"{path}.wedge")):
-        here = f"{path}.wedge[{n}]"
+def _parse_upper(items, dim: int, tab: Mapping[str, Symbol], path: str,
+                 order: str = "upper-triangle indices", duplicate: str = "duplicate entry",
+                 ) -> dict[tuple[int, int], Expression]:
+    """Rows [i, j, expr] with i < j, each pair at most once, keyed by (i, j)."""
+    upper: dict[tuple[int, int], Expression] = {}
+    for n, item in enumerate(_list(items, path)):
+        here = f"{path}[{n}]"
         row = _list(item, here, 3)
         i = _index(row[0], f"{here}[0]", dim)
         j = _index(row[1], f"{here}[1]", dim)
         if not i < j:
-            raise CatalogError(f"{here}: wedge indices must satisfy i < j")
-        if (i, j) in wedge:
-            raise CatalogError(f"{here}: duplicate wedge entry ({i}, {j})")
-        wedge[(i, j)] = _expr(row[2], ptab, f"{here}[2]")
+            raise CatalogError(f"{here}: {order} must satisfy i < j")
+        if (i, j) in upper:
+            raise CatalogError(f"{here}: {duplicate} ({i}, {j})")
+        upper[(i, j)] = _expr(row[2], tab, f"{here}[2]")
+    return upper
+
+
+def _parse_rmatrix(doc: dict, dim: int, ptab: Mapping[str, Symbol], path: str) -> RMatrix:
+    variance = _str(_get(doc, "variance", path), f"{path}.variance")
+    wedge = _parse_upper(_get(doc, "wedge", path), dim, ptab, f"{path}.wedge",
+                         "wedge indices", "duplicate wedge entry")
     try:
         return RMatrix.from_wedge(dim, wedge, variance=variance)
     except ValueError as exc:
@@ -298,33 +323,14 @@ def _parse_field(
     if name != expect:
         raise CatalogError(f"{path}.coords: expected '{expect}', found '{name}'")
     cs = coords[name]
-    tab = tab_for(name)
-    upper: dict[tuple[int, int], Expression] = {}
-    for n, item in enumerate(_list(_get(doc, "upper", path), f"{path}.upper")):
-        here = f"{path}.upper[{n}]"
-        row = _list(item, here, 3)
-        i = _index(row[0], f"{here}[0]", len(cs))
-        j = _index(row[1], f"{here}[1]", len(cs))
-        if not i < j:
-            raise CatalogError(f"{here}: upper-triangle indices must satisfy i < j")
-        if (i, j) in upper:
-            raise CatalogError(f"{here}: duplicate entry ({i}, {j})")
-        upper[(i, j)] = _expr(row[2], tab, f"{here}[2]")
-    return PoissonField.from_upper(cs, upper)
+    return PoissonField.from_upper(
+        cs, _parse_upper(_get(doc, "upper", path), len(cs), tab_for(name), f"{path}.upper"))
 
 
 def _parse_form(block, dim: int, ptab: Mapping[str, Symbol], path: str) -> SymplecticForm | None:
     if block is None:
         return None
-    upper: dict[tuple[int, int], Expression] = {}
-    for n, item in enumerate(_list(_get(_obj(block, path), "upper", path), f"{path}.upper")):
-        here = f"{path}.upper[{n}]"
-        row = _list(item, here, 3)
-        i = _index(row[0], f"{here}[0]", dim)
-        j = _index(row[1], f"{here}[1]", dim)
-        if not i < j:
-            raise CatalogError(f"{here}: upper-triangle indices must satisfy i < j")
-        upper[(i, j)] = _expr(row[2], ptab, f"{here}[2]")
+    upper = _parse_upper(_get(_obj(block, path), "upper", path), dim, ptab, f"{path}.upper")
     return SymplecticForm.from_upper(dim, upper)
 
 
@@ -395,18 +401,8 @@ def _load_document(doc: dict) -> CatalogEntry:
         _obj(_get(bial, "gdual", "bialgebra"), "bialgebra.gdual"), dim, ptab, "bialgebra.gdual"
     )
 
-    rows_doc = _list(
-        _get(_obj(_get(doc, "basis_change", "root"), "basis_change"), "rows", "basis_change"),
-        "basis_change.rows",
-        dim,
-    )
-    C = IsomorphismMatrix.from_rows(
-        [
-            [_expr(c, ptab, f"basis_change.rows[{i}][{j}]") for j, c in
-             enumerate(_list(row, f"basis_change.rows[{i}]", dim))]
-            for i, row in enumerate(rows_doc)
-        ]
-    )
+    rows_doc = _get(_obj(_get(doc, "basis_change", "root"), "basis_change"), "rows", "basis_change")
+    C = IsomorphismMatrix.from_rows(_matrix(rows_doc, ptab, "basis_change.rows", dim))
 
     rt = r = None
     rdoc = doc.get("r_matrices")
@@ -422,17 +418,8 @@ def _load_document(doc: dict) -> CatalogEntry:
     if adoc is not None:
         mats = _list(_get(_obj(adoc, "acting_matrices"), "rept", "acting_matrices"),
                      "acting_matrices.rept", dim)
-        parsed_mats = []
-        for m, mat in enumerate(mats):
-            grid = []
-            for i, row in enumerate(_list(mat, f"acting_matrices.rept[{m}]", dim)):
-                cells = _list(row, f"acting_matrices.rept[{m}][{i}]", dim)
-                grid.append(
-                    [_expr(c, ptab, f"acting_matrices.rept[{m}][{i}][{j}]")
-                     for j, c in enumerate(cells)]
-                )
-            parsed_mats.append(grid)
-        rept = MatrixRep.from_rows(parsed_mats)
+        rept = MatrixRep.from_rows([_matrix(mat, ptab, f"acting_matrices.rept[{m}]", dim)
+                                    for m, mat in enumerate(mats)])
 
     Pg = _parse_field(_obj(_get(doc, "group_field", "root"), "group_field"),
                       coords, "group", tab, "group_field")
@@ -443,10 +430,8 @@ def _load_document(doc: dict) -> CatalogEntry:
 
     def chart_exprs(side: str, block: str) -> tuple:
         body = _obj(_get(charts, side, "charts"), f"charts.{side}")
-        items = _list(_get(body, "exprs", f"charts.{side}"), f"charts.{side}.exprs", dim)
-        return tuple(
-            _expr(t, tab(block), f"charts.{side}.exprs[{k}]") for k, t in enumerate(items)
-        )
+        items = _get(body, "exprs", f"charts.{side}")
+        return _exprs(items, tab(block), f"charts.{side}.exprs", dim)
 
     chart_g = chart_exprs("group", "group")
     chart_gt = chart_exprs("dual_group", "dual_group")
@@ -456,11 +441,9 @@ def _load_document(doc: dict) -> CatalogEntry:
     def dyn_side(side: str, chart_block: str, group_block: str):
         body = _obj(_get(dyn, side, "dynamical_functions"), f"dynamical_functions.{side}")
         base = f"dynamical_functions.{side}"
-        chart = _list(_get(body, "chart_exprs", base), f"{base}.chart_exprs", dim)
+        parsed_chart = _exprs(_get(body, "chart_exprs", base), tab(chart_block),
+                              f"{base}.chart_exprs", dim)
         disp = _list(_get(body, "display_exprs", base), f"{base}.display_exprs", dim)
-        parsed_chart = tuple(
-            _expr(t, tab(chart_block), f"{base}.chart_exprs[{k}]") for k, t in enumerate(chart)
-        )
         parsed_disp = tuple(
             None if t is None else _expr(t, tab(group_block), f"{base}.display_exprs[{k}]")
             for k, t in enumerate(disp)
@@ -471,28 +454,16 @@ def _load_document(doc: dict) -> CatalogEntry:
     St_chart, St_display = dyn_side("dual_side", "dual_chart", "dual_group")
 
     cmap_doc = _obj(_get(doc, "coordinate_map", "root"), "coordinate_map")
-    cmap = CoordinateMap(
-        coords["dual_group"],
-        coords["group"],
-        tuple(
-            _expr(t, tab("dual_group"), f"coordinate_map.exprs[{k}]")
-            for k, t in enumerate(_list(_get(cmap_doc, "exprs", "coordinate_map"),
-                                        "coordinate_map.exprs", dim))
-        ),
-    )
+    cmap = CoordinateMap(coords["dual_group"], coords["group"],
+                         _exprs(_get(cmap_doc, "exprs", "coordinate_map"), tab("dual_group"),
+                                "coordinate_map.exprs", dim))
 
     zmap = None
     zdoc = doc.get("chart_map")
     if zdoc is not None:
-        zmap = CoordinateMap(
-            coords["chart"],
-            coords["dual_chart"],
-            tuple(
-                _expr(t, tab("chart"), f"chart_map.exprs[{k}]")
-                for k, t in enumerate(_list(_get(_obj(zdoc, "chart_map"), "exprs", "chart_map"),
-                                            "chart_map.exprs", dim))
-            ),
-        )
+        items = _get(_obj(zdoc, "chart_map"), "exprs", "chart_map")
+        zmap = CoordinateMap(coords["chart"], coords["dual_chart"],
+                             _exprs(items, tab("chart"), "chart_map.exprs", dim))
 
     def form_pair(key: str):
         body = _obj(_get(doc, key, "root"), key)
@@ -508,16 +479,10 @@ def _load_document(doc: dict) -> CatalogEntry:
     idoc = doc.get("invariants")
     if idoc is not None:
         _obj(idoc, "invariants")
-        inv_g = tuple(
-            _expr(t, tab("chart"), f"invariants.group_side[{k}]")
-            for k, t in enumerate(_list(_get(idoc, "group_side", "invariants"),
-                                        "invariants.group_side"))
-        )
-        inv_gt = tuple(
-            _expr(t, tab("dual_chart"), f"invariants.dual_side[{k}]")
-            for k, t in enumerate(_list(_get(idoc, "dual_side", "invariants"),
-                                        "invariants.dual_side"))
-        )
+        inv_g = _exprs(_get(idoc, "group_side", "invariants"), tab("chart"),
+                       "invariants.group_side")
+        inv_gt = _exprs(_get(idoc, "dual_side", "invariants"), tab("dual_chart"),
+                        "invariants.dual_side")
 
     exp = _obj(_get(doc, "expected", "root"), "expected")
     pair_doc = _obj(_get(exp, "involutive_pairs", "expected"), "expected.involutive_pairs")
@@ -537,14 +502,7 @@ def _load_document(doc: dict) -> CatalogEntry:
     coeffs = None
     cdoc = cls.get("coefficients")
     if cdoc is not None:
-        coeffs = tuple(
-            tuple(
-                _expr(c, ptab, f"expected.classification.coefficients[{i}][{j}]")
-                for j, c in enumerate(
-                    _list(row, f"expected.classification.coefficients[{i}]", dim))
-            )
-            for i, row in enumerate(_list(cdoc, "expected.classification.coefficients", dim))
-        )
+        coeffs = _matrix(cdoc, ptab, "expected.classification.coefficients", dim)
     expected_class = ExpectedClassification(bp, im, coeffs)
 
     notes = tuple(
@@ -708,46 +666,6 @@ def _str_env(env: Mapping) -> dict[str, str]:
     return {k: str(v) for k, v in env.items()}
 
 
-def _exact_result(name: str, rep, detail: str = "") -> CheckResult:
-    witness = None
-    if rep.witness is not None:
-        idx, env = rep.witness
-        witness = {"@index": str(tuple(idx)), **_str_env(env)}
-    status = "pass" if rep.ok else "fail"
-    return CheckResult(name, status, float(abs(rep.max_abs)), witness, detail)
-
-
-def _zero_result(name: str, rep, detail: str = "") -> CheckResult:
-    witness = None
-    if rep.witness is not None:
-        witness = dict(_str_env(rep.witness))
-        if rep.witness_index is not None:
-            witness["@residual"] = str(rep.witness_index)
-    status = "pass" if rep.zero else "fail"
-    return CheckResult(name, status, float(rep.max_residual), witness, detail)
-
-
-def _bool_result(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", 0.0, None, detail)
-
-
-class _Collector:
-    def __init__(self) -> None:
-        self.checks: list[CheckResult] = []
-
-    def skip(self, name: str, reason: str) -> None:
-        self.checks.append(CheckResult(name, "skip", 0.0, None, reason))
-
-    def run(self, name: str, fn: Callable[[], CheckResult]) -> None:
-        # a crash in any single check is a finding, not an abort
-        try:
-            self.checks.append(fn())
-        except Exception as exc:
-            self.checks.append(
-                CheckResult(name, "fail", math.inf, None, f"{type(exc).__name__}: {exc}")
-            )
-
-
 def _compose(exprs: Sequence[Expression], coords: Sequence[Symbol],
              values: Sequence[Expression]) -> list[Expression]:
     smap = {s.name: v for s, v in zip(coords, values)}
@@ -758,352 +676,376 @@ def _families_label(families: Sequence[tuple]) -> str:
     return "{" + ", ".join("(" + ", ".join(str(i) for i in fam) + ")" for fam in families) + "}"
 
 
-def verify_entry(entry: CatalogEntry, config: VerifyConfig | None = None) -> VerificationReport:
-    """Run the full check ladder on one entry.
+# ---------------------------------------------------------------------------
+# the ladder: one ordered table of checks
+#
+# A check is a method of _Checks, with a side when it comes in a group/dual
+# pair.  It returns one outcome, the fields of CheckResult after the name:
+# (status, max residual, witness, detail).  Checks call the layer functions
+# through this module's globals, looked up when the check runs, so rebinding
+# a name here reaches every call.
 
-    Order: structure tables, classical matrices, two-forms and fields, the
-    dynamical systems on both sides, the cross-space exchange, conserved
-    flows.  Checks whose inputs are absent from the entry are reported as
-    skips; checks that raise are reported as failures with the exception in
-    the detail, so the report always covers the whole ladder.
+
+def _exact(rep, detail: str = "") -> tuple:
+    witness = None
+    if rep.witness is not None:
+        idx, env = rep.witness
+        witness = {"@index": str(tuple(idx)), **_str_env(env)}
+    return "pass" if rep.ok else "fail", float(abs(rep.max_abs)), witness, detail
+
+
+def _zero(rep, detail: str = "") -> tuple:
+    witness = None
+    if rep.witness is not None:
+        witness = dict(_str_env(rep.witness))
+        if rep.witness_index is not None:
+            witness["@residual"] = str(rep.witness_index)
+    return "pass" if rep.zero else "fail", float(rep.max_residual), witness, detail
+
+
+def _bool(ok: bool, detail: str = "") -> tuple:
+    return "pass" if ok else "fail", 0.0, None, detail
+
+
+def _skip(reason: str) -> tuple:
+    return "skip", 0.0, None, reason
+
+
+class _Checks:
+    """The ladder's checks over one entry, and the inputs they read.
+
+    Paired inputs are indexed by side.  Side 0 is the group side: its own
+    table is g and its functions realise g̃.  Side 1 is the dual side, the
+    other way round.  What several checks share is built once, on first use;
+    an input that cannot be built fails each check that needs it.
     """
-    cfg = config or VerifyConfig()
-    started = time.perf_counter()
-    col = _Collector()
-    A = default_assignments(entry.params, count=cfg.exact_samples, seed=cfg.seed)
-    dim = entry.dim
-    zc = entry.coords["chart"]
-    ztc = entry.coords["dual_chart"]
 
-    # structure tables
-    col.run("liealg.antisymmetry.g", lambda: _exact_result(
-        "liealg.antisymmetry.g", check_antisymmetry(entry.g, A)))
-    col.run("liealg.antisymmetry.gdual", lambda: _exact_result(
-        "liealg.antisymmetry.gdual", check_antisymmetry(entry.gdual, A)))
-    col.run("liealg.jacobi.g", lambda: _exact_result(
-        "liealg.jacobi.g", check_jacobi(entry.g, A)))
-    col.run("liealg.jacobi.gdual", lambda: _exact_result(
-        "liealg.jacobi.gdual", check_jacobi(entry.gdual, A)))
+    def __init__(self, entry: CatalogEntry, cfg: VerifyConfig) -> None:
+        e = self.entry = entry
+        self.cfg = cfg
+        self.sampling = {"seed": cfg.seed, "trials": cfg.trials}
+        self.A = default_assignments(e.params, count=cfg.exact_samples, seed=cfg.seed)
+        self.table = (e.g, e.gdual)
+        self.lowered = (e.g, StructureConstants(e.dim, e.gdual.entries, "lower"))
+        self.acted = (e.gdual, e.g)
+        self.form = (e.omega_g, e.omega_gdual)
+        self.rmat = (e.rt, e.r)
+        self.field = (e.Pg, e.Pgt)
+        self.chart = (e.chart_g, e.chart_gt)
+        self.group_coords = (e.coords["group"], e.coords["dual_group"])
+        self.coords = (e.coords["chart"], e.coords["dual_chart"])
+        self.funcs = (e.S_chart, e.St_chart)
+        self.displays = (e.S_display, e.St_display)
+        self.families = (e.expected_families_group, e.expected_families_dual)
+        self.inv = (e.inv_g, e.inv_gt)
+        self._built: dict = {}
 
-    def manin() -> CheckResult:
-        rep = verify_manin_triple(entry.bialgebra, A)
+    def _shared(self, key, build: Callable, *args):
+        """build(*args), called until it returns once for this key."""
+        if key not in self._built:
+            self._built[key] = build(*args)
+        return self._built[key]
+
+    def composed(self, side: int) -> list[Expression]:
+        """The side's dynamical functions in its group coordinates."""
+        return self._shared(("composed", side), _compose,
+                            self.funcs[side], self.coords[side], self.chart[side])
+
+    def rep(self, side: int) -> MatrixRep:
+        """Acting matrices on the side's acted table: stored on g̃, carried by C to g."""
+        if side == 0:
+            return self.entry.rept
+        return self._shared("rep", transport_rep, self.entry.C, self.entry.rept)
+
+    def Q(self, side: int):
+        """The side's Q matrix from its dynamical functions, classical and acting matrices."""
+        return self._shared(("Q", side), build_Q, self.funcs[side], self.rmat[side], self.rep(side))
+
+    def antisymmetry(self, side: int) -> tuple:
+        return _exact(check_antisymmetry(self.table[side], self.A))
+
+    def jacobi(self, side: int) -> tuple:
+        return _exact(check_jacobi(self.table[side], self.A))
+
+    def manin(self) -> tuple:
+        rep = verify_manin_triple(self.entry.bialgebra, self.A)
         worse = rep.jacobi if not rep.jacobi.ok else rep.ad_invariance
         parts = []
         if not rep.jacobi.ok:
             parts.append("double bracket fails its own closure")
         if not rep.ad_invariance.ok:
             parts.append("pairing is not invariant under the double")
-        return _exact_result("liealg.manin_triple", worse if not rep.ok else rep.jacobi,
-                             "; ".join(parts))
-    col.run("liealg.manin_triple", manin)
+        return _exact(worse if not rep.ok else rep.jacobi, "; ".join(parts))
 
-    col.run("liealg.basis_change.invertible", lambda: _exact_result(
-        "liealg.basis_change.invertible", entry.C.check_invertible(A)))
+    def invertible(self) -> tuple:
+        return _exact(self.entry.C.check_invertible(self.A))
 
-    def transport() -> CheckResult:
-        moved = apply_isomorphism(entry.C, entry.g)
+    def transport(self) -> tuple:
+        e = self.entry
+        moved = apply_isomorphism(e.C, e.g)
         worst = Fraction(0)
         witness = None
-        for env in A:
+        for env in self.A:
             got = moved.evaluated(env)
-            want = entry.gdual.evaluated(env)
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
+            want = e.gdual.evaluated(env)
+            for i in range(e.dim):
+                for j in range(e.dim):
+                    for k in range(e.dim):
                         diff = abs(got[i][j][k] - want[i][j][k])
                         if diff > worst:
                             worst = diff
                             witness = {"@index": str((i, j, k)), **_str_env(env)}
-        status = "pass" if worst == 0 else "fail"
-        return CheckResult("liealg.basis_change.transport", status, float(worst), witness)
-    col.run("liealg.basis_change.transport", transport)
+        return "pass" if worst == 0 else "fail", float(worst), witness, ""
 
-    if entry.rept is None:
-        col.skip("liealg.representation", "no acting matrices stored")
-        col.skip("liealg.representation.transported", "no acting matrices stored")
-    else:
-        col.run("liealg.representation", lambda: _exact_result(
-            "liealg.representation", check_representation(entry.rept, entry.gdual, A)))
-        col.run("liealg.representation.transported", lambda: _exact_result(
-            "liealg.representation.transported",
-            check_representation(transport_rep(entry.C, entry.rept), entry.g, A)))
+    def representation(self, side: int) -> tuple:
+        return _exact(check_representation(self.rep(side), self.acted[side], self.A))
 
-    # classical matrices
-    lowered_gdual = StructureConstants(dim, entry.gdual.entries, "lower")
-    if entry.rt is None:
-        col.skip("rmatrix.cybe.dual", "no classical matrix stored for the dual table")
-        col.skip("rmatrix.cobracket", "no classical matrix stored for the dual table")
-    else:
-        col.run("rmatrix.cybe.dual", lambda: _exact_result(
-            "rmatrix.cybe.dual", cybe_residual(entry.rt, lowered_gdual, A)))
+    def cybe(self, side: int) -> tuple:
+        # the side's classical matrix lives on its acted table, taken lower
+        return _exact(cybe_residual(self.rmat[side], self.lowered[1 - side], self.A))
 
-        def cobracket() -> CheckResult:
-            cand = cobracket_from_r(entry.rt, lowered_gdual)
-            jac = check_jacobi(cand, A)
-            man = verify_manin_triple(LieBialgebra(lowered_gdual, cand), A)
-            ok = jac.ok and man.ok
-            worst = max(jac.max_abs, man.jacobi.max_abs, man.ad_invariance.max_abs)
-            detail = "" if ok else "induced cobracket is not a compatible dual bracket"
-            return CheckResult("rmatrix.cobracket", "pass" if ok else "fail",
-                               float(worst), None, detail)
-        col.run("rmatrix.cobracket", cobracket)
-    if entry.r is None:
-        col.skip("rmatrix.cybe.bracket", "no classical matrix stored for the bracket table")
-    else:
-        col.run("rmatrix.cybe.bracket", lambda: _exact_result(
-            "rmatrix.cybe.bracket", cybe_residual(entry.r, entry.g, A)))
+    def cobracket(self) -> tuple:
+        lowered = self.lowered[1]
+        cand = cobracket_from_r(self.entry.rt, lowered)
+        jac = check_jacobi(cand, self.A)
+        man = verify_manin_triple(LieBialgebra(lowered, cand), self.A)
+        ok = jac.ok and man.ok
+        worst = max(jac.max_abs, man.jacobi.max_abs, man.ad_invariance.max_abs)
+        detail = "" if ok else "induced cobracket is not a compatible dual bracket"
+        return "pass" if ok else "fail", float(worst), None, detail
 
-    # two-forms and group-level fields
-    for side, form, tensor in (
-        ("g", entry.omega_g, entry.g),
-        ("gdual", entry.omega_gdual, lowered_gdual),
-    ):
-        if form is None:
-            col.skip(f"symplectic.closure.{side}", "no two-form stored")
-            col.skip(f"symplectic.nondegenerate.{side}", "no two-form stored")
-            continue
-        col.run(f"symplectic.closure.{side}", lambda f=form, t=tensor, s=side: _exact_result(
-            f"symplectic.closure.{s}", closure_residual(f, t, A).cyclic))
-        col.run(f"symplectic.nondegenerate.{side}", lambda f=form, s=side: _exact_result(
-            f"symplectic.nondegenerate.{s}", check_nondegenerate(f, A)))
+    def closure(self, side: int) -> tuple:
+        return _exact(closure_residual(self.form[side], self.lowered[side], self.A).cyclic)
 
-    for side, fieldP in (("group", entry.Pg), ("dual_group", entry.Pgt)):
-        col.run(f"symplectic.field_skew.{side}", lambda P=fieldP, s=side: _zero_result(
-            f"symplectic.field_skew.{s}", check_field_skew(P, seed=cfg.seed, trials=cfg.trials)))
-        col.run(f"symplectic.field_jacobi.{side}", lambda P=fieldP, s=side: _zero_result(
-            f"symplectic.field_jacobi.{s}",
-            jacobi_residual_field(P, seed=cfg.seed, trials=cfg.trials)))
+    def nondegenerate(self, side: int) -> tuple:
+        return _exact(check_nondegenerate(self.form[side], self.A))
 
-    # dynamical systems, group side then dual side
-    S_group = _compose(entry.S_chart, zc, entry.chart_g)
-    St_group = _compose(entry.St_chart, ztc, entry.chart_gt)
+    def field_skew(self, side: int) -> tuple:
+        return _zero(check_field_skew(self.field[side], **self.sampling))
 
-    for side, fieldP, chart in (("group", entry.Pg, entry.chart_g),
-                                ("dual_group", entry.Pgt, entry.chart_gt)):
-        def darboux(P=fieldP, ch=chart, s=side) -> CheckResult:
-            rep = check_darboux(P, DarbouxChart(tuple(ch)), seed=cfg.seed, trials=cfg.trials)
-            bad = [pair for pair, _, inner in rep.results if not inner.zero]
-            detail = "" if rep.ok else f"square-bracket pairs off at {bad}"
-            return CheckResult(f"dynsys.darboux.{s}", "pass" if rep.ok else "fail",
-                               rep.max_residual, None, detail)
-        col.run(f"dynsys.darboux.{side}", darboux)
+    def field_jacobi(self, side: int) -> tuple:
+        return _zero(jacobi_residual_field(self.field[side], **self.sampling))
 
-    for side, fieldP, funcs, target in (
-        ("group", entry.Pg, S_group, entry.gdual),
-        ("dual_group", entry.Pgt, St_group, entry.g),
-    ):
-        col.run(f"dynsys.symmetry.{side}", lambda P=fieldP, F=funcs, t=target, s=side: _zero_result(
-            f"dynsys.symmetry.{s}",
-            symmetry_residual(DynamicalSystem(P, tuple(F), t), seed=cfg.seed, trials=cfg.trials)))
+    def darboux(self, side: int) -> tuple:
+        chart = DarbouxChart(tuple(self.chart[side]))
+        rep = check_darboux(self.field[side], chart, **self.sampling)
+        bad = [pair for pair, _, inner in rep.results if not inner.zero]
+        detail = "" if rep.ok else f"square-bracket pairs off at {bad}"
+        return "pass" if rep.ok else "fail", rep.max_residual, None, detail
 
-    for side, displays, composed, block in (
-        ("group", entry.S_display, S_group, "group"),
-        ("dual_group", entry.St_display, St_group, "dual_group"),
-    ):
-        name = f"dynsys.display.{side}"
+    def symmetry(self, side: int) -> tuple:
+        sys = DynamicalSystem(self.field[side], tuple(self.composed(side)), self.acted[side])
+        return _zero(symmetry_residual(sys, **self.sampling))
+
+    def display(self, side: int) -> tuple:
+        displays = self.displays[side]
         slots = [k for k, d in enumerate(displays) if d is not None]
         if not slots:
-            col.skip(name, "no closed-form displays stored")
-            continue
+            return _skip("no closed-form displays stored")
+        composed = self.composed(side)
+        residuals = [sum_of([displays[k], Rat(-1) * composed[k]]) for k in slots]
+        domain = SampleDomain(coords=self.group_coords[side], params=self.entry.params)
+        return _zero(equiv_zero(residuals, domain, **self.sampling), f"slots {slots}")
 
-        def display(ds=displays, comp=composed, ks=slots, nm=name, blk=block) -> CheckResult:
-            residuals = [sum_of([ds[k], Rat(-1) * comp[k]]) for k in ks]
-            domain = SampleDomain(coords=entry.coords[blk], params=entry.params)
-            rep = equiv_zero(residuals, domain, seed=cfg.seed, trials=cfg.trials)
-            return _zero_result(nm, rep, f"slots {ks}")
-        col.run(name, display)
+    def involutive(self, side: int) -> tuple:
+        can = canonical_field(self.coords[side])
+        sys = DynamicalSystem(can, tuple(self.funcs[side]), self.acted[side])
+        got = tuple(find_involutive_pairs(sys, **self.sampling))
+        want = tuple(self.families[side])
+        ok = got == want
+        return _bool(ok, "" if ok else
+                     f"found {_families_label(got)}, expected {_families_label(want)}")
 
-    for side, chart_coords, funcs, expected, target in (
-        ("group", zc, entry.S_chart, entry.expected_families_group, entry.gdual),
-        ("dual_group", ztc, entry.St_chart, entry.expected_families_dual, entry.g),
-    ):
-        def involutive(cs=chart_coords, F=funcs, want=expected, t=target, s=side) -> CheckResult:
-            sys = DynamicalSystem(canonical_field(cs), tuple(F), t)
-            got = tuple(find_involutive_pairs(sys, seed=cfg.seed, trials=cfg.trials))
-            ok = got == tuple(want)
-            detail = ("" if ok else
-                      f"found {_families_label(got)}, expected {_families_label(want)}")
-            return _bool_result(f"dynsys.involutive.{s}", ok, detail)
-        col.run(f"dynsys.involutive.{side}", involutive)
+    def q_matrix(self, side: int) -> tuple:
+        can = canonical_field(self.coords[side])
+        rep = sts_residual(self.Q(side), self.rmat[side], self.rep(side), can, **self.sampling)
+        return _zero(rep)
 
-    # flatness matrices and trace identities
-    if entry.rt is None or entry.rept is None:
-        col.skip("dynsys.q_matrix", "needs both a dual-table classical matrix and acting matrices")
-    else:
-        def q_group() -> CheckResult:
-            Q = build_Q(entry.S_chart, entry.rt, entry.rept)
-            rep = sts_residual(Q, entry.rt, entry.rept, canonical_field(zc),
-                               seed=cfg.seed, trials=cfg.trials)
-            return _zero_result("dynsys.q_matrix", rep)
-        col.run("dynsys.q_matrix", q_group)
-    if entry.r is None or entry.rept is None:
-        col.skip("dynsys.q_matrix.dual",
-                 "needs both a bracket-table classical matrix and acting matrices")
-    else:
-        def q_dual() -> CheckResult:
-            rep_g = transport_rep(entry.C, entry.rept)
-            Qt = build_Q(entry.St_chart, entry.r, rep_g)
-            rep = sts_residual(Qt, entry.r, rep_g, canonical_field(ztc),
-                               seed=cfg.seed, trials=cfg.trials)
-            return _zero_result("dynsys.q_matrix.dual", rep)
-        col.run("dynsys.q_matrix.dual", q_dual)
-
-    if entry.rt is None or entry.rept is None or entry.inv_g is None:
-        col.skip("dynsys.trace_invariants",
-                 "needs a dual-table classical matrix, acting matrices, and invariants")
-    else:
-        def traces_group() -> CheckResult:
-            Q = build_Q(entry.S_chart, entry.rt, entry.rept)
-            tr = invariants(Q, kmax=len(entry.inv_g))
-            residuals = [sum_of([tr[k], Rat(-1) * entry.inv_g[k]])
-                         for k in range(len(entry.inv_g))]
-            domain = SampleDomain(coords=zc, params=entry.params)
-            return _zero_result("dynsys.trace_invariants",
-                                equiv_zero(residuals, domain, seed=cfg.seed, trials=cfg.trials))
-        col.run("dynsys.trace_invariants", traces_group)
-    if entry.r is None or entry.rept is None or entry.inv_gt is None:
-        col.skip("dynsys.trace_invariants.dual",
-                 "needs a bracket-table classical matrix, acting matrices, and invariants")
-    else:
-        def traces_dual() -> CheckResult:
-            rep_g = transport_rep(entry.C, entry.rept)
-            Qt = build_Q(entry.St_chart, entry.r, rep_g)
-            tr = invariants(Qt, kmax=len(entry.inv_gt))
+    def traces(self, side: int) -> tuple:
+        inv = self.inv[side]
+        tr = invariants(self.Q(side), kmax=len(inv))
+        if side == 1:
             # power-one trace carries the opposite sign on this side
-            signs = [Rat(1) if k else Rat(-1) for k in range(len(entry.inv_gt))]
-            residuals = [sum_of([tr[k], Rat(-1) * (signs[k] * entry.inv_gt[k])])
-                         for k in range(len(entry.inv_gt))]
-            domain = SampleDomain(coords=ztc, params=entry.params)
-            return _zero_result("dynsys.trace_invariants.dual",
-                                equiv_zero(residuals, domain, seed=cfg.seed, trials=cfg.trials))
-        col.run("dynsys.trace_invariants.dual", traces_dual)
+            inv = [(Rat(1) if k else Rat(-1)) * f for k, f in enumerate(inv)]
+        residuals = [sum_of([tr[k], Rat(-1) * inv[k]]) for k in range(len(inv))]
+        domain = SampleDomain(coords=self.coords[side], params=self.entry.params)
+        return _zero(equiv_zero(residuals, domain, **self.sampling))
 
-    for side, chart_coords, inv in (("group", zc, entry.inv_g),
-                                    ("dual_group", ztc, entry.inv_gt)):
-        inv_name = f"dynsys.invariant_involution.{side}"
-        rank_name = f"dynsys.invariant_independence.{side}"
-        if inv is None:
-            col.skip(inv_name, "no invariants stored")
-            col.skip(rank_name, "no invariants stored")
-            continue
+    def involution(self, side: int) -> tuple:
+        F = self.inv[side]
+        can = canonical_field(self.coords[side])
+        residuals = [poisson_bracket(can, F[i], F[j])
+                     for i in range(len(F)) for j in range(i + 1, len(F))]
+        return _zero(equiv_zero(residuals, field_domain(can, F), **self.sampling))
 
-        def involution(cs=chart_coords, F=inv, nm=inv_name) -> CheckResult:
-            can = canonical_field(cs)
-            residuals = [poisson_bracket(can, F[i], F[j])
-                         for i in range(len(F)) for j in range(i + 1, len(F))]
-            rep = equiv_zero(residuals, field_domain(can, F), seed=cfg.seed, trials=cfg.trials)
-            return _zero_result(nm, rep)
-        col.run(inv_name, involution)
+    def independence(self, side: int) -> tuple:
+        F = self.inv[side]
+        rank = independence_rank(self.coords[side], F,
+                                 samples=self.cfg.exact_samples, seed=self.cfg.seed)
+        return _bool(rank == len(F), f"rank {rank} of {len(F)}" if rank != len(F) else "")
 
-        def independence(cs=chart_coords, F=inv, nm=rank_name) -> CheckResult:
-            rank = independence_rank(cs, F, samples=cfg.exact_samples, seed=cfg.seed)
-            return _bool_result(nm, rank == len(F),
-                                f"rank {rank} of {len(F)}" if rank != len(F) else "")
-        col.run(rank_name, independence)
-
-    # cross-space exchange
-    def exchange_stages() -> list[CheckResult]:
+    def _exchange_report(self):
+        e = self.entry
         bundle = ExchangeBundle(
-            bialg=entry.bialgebra, C=entry.C, cmap=entry.cmap,
-            P=entry.Pg, Pt=entry.Pgt, S=tuple(S_group), St=tuple(St_group),
-            rt=entry.rt, r=entry.r, rept=entry.rept,
+            bialg=e.bialgebra, C=e.C, cmap=e.cmap,
+            P=e.Pg, Pt=e.Pgt, S=tuple(self.composed(0)), St=tuple(self.composed(1)),
+            rt=e.rt, r=e.r, rept=e.rept,
         )
-        out = []
-        for stage in verify_exchange(bundle, seed=cfg.seed, trials=cfg.trials).stages:
-            name = f"exchange.{stage.name}"
-            if stage.skipped:
-                out.append(CheckResult(name, "skip", 0.0, None, stage.reason))
+        return verify_exchange(bundle, **self.sampling)
+
+    def exchange(self, stage: str) -> tuple:
+        s = self._shared("exchange", self._exchange_report).stage(stage)
+        if s.skipped:
+            return _skip(s.reason)
+        return "pass" if s.ok else "fail", s.max_residual, None, ""
+
+    def classification(self) -> tuple:
+        e = self.entry
+        invA = e.inv_g if e.inv_g is not None else e.S_chart
+        invB = e.inv_gt if e.inv_gt is not None else e.St_chart
+        record = classify_transformation(
+            e.zmap, invA, invB, canonical_field(self.coords[0]), canonical_field(self.coords[1]),
+            **self.sampling, samples=self.cfg.class_samples,
+        )
+        want = e.expected_class
+        problems = []
+        if record.bracket_preserving != want.bracket_preserving:
+            problems.append(f"bracket_preserving={record.bracket_preserving}, "
+                            f"expected {want.bracket_preserving}")
+        if record.invariant_mapping != want.invariant_mapping:
+            problems.append(f"invariant_mapping={record.invariant_mapping}, "
+                            f"expected {want.invariant_mapping}")
+        if want.coefficients is not None and not problems:
+            if record.coefficients is None:
+                problems.append("no coefficient matrix recovered")
             else:
-                out.append(CheckResult(name, "pass" if stage.ok else "fail",
-                                       stage.max_residual))
-        return out
+                for env_items, rows in record.coefficients:
+                    env = dict(env_items)
+                    for i, row in enumerate(rows):
+                        for j, got in enumerate(row):
+                            expect = evaluate(want.coefficients[i][j], env)
+                            if Fraction(got) != expect:
+                                problems.append(
+                                    f"coefficient[{i}][{j}] = {got}, expected {expect} "
+                                    f"at {_str_env(env)}")
+        return _bool(not problems, "; ".join(problems))
 
-    try:
-        col.checks.extend(exchange_stages())
-    except Exception as exc:
-        col.checks.append(CheckResult("exchange.phase_exchange", "fail", math.inf, None,
-                                      f"{type(exc).__name__}: {exc}"))
-
-    if entry.zmap is None:
-        col.skip("exchange.classification", "no chart-level map stored")
-    else:
-        def classification() -> CheckResult:
-            invA = entry.inv_g if entry.inv_g is not None else entry.S_chart
-            invB = entry.inv_gt if entry.inv_gt is not None else entry.St_chart
-            record = classify_transformation(
-                entry.zmap, invA, invB, canonical_field(zc), canonical_field(ztc),
-                seed=cfg.seed, trials=cfg.trials, samples=cfg.class_samples,
-            )
-            want = entry.expected_class
-            problems = []
-            if record.bracket_preserving != want.bracket_preserving:
-                problems.append(f"bracket_preserving={record.bracket_preserving}, "
-                                f"expected {want.bracket_preserving}")
-            if record.invariant_mapping != want.invariant_mapping:
-                problems.append(f"invariant_mapping={record.invariant_mapping}, "
-                                f"expected {want.invariant_mapping}")
-            if want.coefficients is not None and not problems:
-                if record.coefficients is None:
-                    problems.append("no coefficient matrix recovered")
-                else:
-                    for env_items, rows in record.coefficients:
-                        env = dict(env_items)
-                        for i, row in enumerate(rows):
-                            for j, got in enumerate(row):
-                                expect = evaluate(want.coefficients[i][j], env)
-                                if Fraction(got) != expect:
-                                    problems.append(
-                                        f"coefficient[{i}][{j}] = {got}, expected {expect} "
-                                        f"at {_str_env(env)}")
-            ok = not problems
-            return _bool_result("exchange.classification", ok, "; ".join(problems))
-        col.run("exchange.classification", classification)
-
-    # conserved flows
-    env0 = default_assignments(entry.params, count=1, seed=cfg.seed)[0]
-    smap = {k: Rat(v) for k, v in env0.items()}
-
-    for side, chart_coords, funcs, families, inv in (
-        ("group", zc, entry.S_chart, entry.expected_families_group, entry.inv_g),
-        ("dual_group", ztc, entry.St_chart, entry.expected_families_dual, entry.inv_gt),
-    ):
-        pairs = _family_pairs(families)
-        name = f"flow.conservation.{side}"
-        runs = [(funcs[i], funcs[j]) for i, j in pairs]
+    def flows(self, side: int) -> tuple:
+        cs, funcs, inv, cfg = self.coords[side], self.funcs[side], self.inv[side], self.cfg
+        runs = [(funcs[i], funcs[j]) for i, j in _family_pairs(self.families[side])]
         if inv is not None and len(inv) >= 2:
             runs.append((inv[0], inv[1]))
         if not runs:
-            col.skip(name, "no conserved pairs declared")
-            continue
+            return _skip("no conserved pairs declared")
+        env0 = default_assignments(self.entry.params, count=1, seed=cfg.seed)[0]
+        smap = {k: Rat(v) for k, v in env0.items()}
+        worst = 0.0
+        stalled = 0
+        for H_raw, F_raw in runs:
+            H = subst(H_raw, smap)
+            F = subst(F_raw, smap)
+            x0 = canonical_start(cs, [H, F])
+            field = hamiltonian_vector_field(canonical_field(cs), H)
+            traj = integrate(cs, field, x0, cfg.dt, cfg.horizon)
+            if not traj.reached(cfg.horizon):
+                stalled += 1
+                continue
+            drift = conservation_drift(cs, traj, [H, F]).max_relative
+            worst = max(worst, drift)
+        ok = stalled == 0 and worst <= cfg.drift_tol
+        detail = f"{len(runs)} flows, worst drift {worst:.3e}"
+        if stalled:
+            detail += f", {stalled} stopped before t={cfg.horizon}"
+        return "pass" if ok else "fail", worst, None, detail
 
-        def flows(cs=chart_coords, todo=runs, nm=name) -> CheckResult:
-            worst = 0.0
-            stalled = 0
-            for H_raw, F_raw in todo:
-                H = subst(H_raw, smap)
-                F = subst(F_raw, smap)
-                x0 = canonical_start(cs, [H, F])
-                field = hamiltonian_vector_field(canonical_field(cs), H)
-                traj = integrate(cs, field, x0, cfg.dt, cfg.horizon)
-                if not traj.reached(cfg.horizon):
-                    stalled += 1
-                    continue
-                drift = conservation_drift(cs, traj, [H, F]).max_relative
-                worst = max(worst, drift)
-            ok = stalled == 0 and worst <= cfg.drift_tol
-            detail = f"{len(todo)} flows, worst drift {worst:.3e}"
-            if stalled:
-                detail += f", {stalled} stopped before t={cfg.horizon}"
-            return CheckResult(nm, "pass" if ok else "fail", worst, None, detail)
-        col.run(name, flows)
 
-    elapsed = time.perf_counter() - started
+_NO_DUAL_R = "no classical matrix stored for the dual table"
+_NO_REPT = "no acting matrices stored"
+_NO_FORM = "no two-form stored"
+_NO_INV = "no invariants stored"
+
+# (check name, entry fields it needs, reason to skip when one is None, check, side or stage)
+_LADDER = (
+    ("liealg.antisymmetry.g", (), None, _Checks.antisymmetry, 0),
+    ("liealg.antisymmetry.gdual", (), None, _Checks.antisymmetry, 1),
+    ("liealg.jacobi.g", (), None, _Checks.jacobi, 0),
+    ("liealg.jacobi.gdual", (), None, _Checks.jacobi, 1),
+    ("liealg.manin_triple", (), None, _Checks.manin),
+    ("liealg.basis_change.invertible", (), None, _Checks.invertible),
+    ("liealg.basis_change.transport", (), None, _Checks.transport),
+    ("liealg.representation", ("rept",), _NO_REPT, _Checks.representation, 0),
+    ("liealg.representation.transported", ("rept",), _NO_REPT, _Checks.representation, 1),
+    ("rmatrix.cybe.dual", ("rt",), _NO_DUAL_R, _Checks.cybe, 0),
+    ("rmatrix.cobracket", ("rt",), _NO_DUAL_R, _Checks.cobracket),
+    ("rmatrix.cybe.bracket", ("r",), "no classical matrix stored for the bracket table",
+     _Checks.cybe, 1),
+    ("symplectic.closure.g", ("omega_g",), _NO_FORM, _Checks.closure, 0),
+    ("symplectic.nondegenerate.g", ("omega_g",), _NO_FORM, _Checks.nondegenerate, 0),
+    ("symplectic.closure.gdual", ("omega_gdual",), _NO_FORM, _Checks.closure, 1),
+    ("symplectic.nondegenerate.gdual", ("omega_gdual",), _NO_FORM, _Checks.nondegenerate, 1),
+    ("symplectic.field_skew.group", (), None, _Checks.field_skew, 0),
+    ("symplectic.field_jacobi.group", (), None, _Checks.field_jacobi, 0),
+    ("symplectic.field_skew.dual_group", (), None, _Checks.field_skew, 1),
+    ("symplectic.field_jacobi.dual_group", (), None, _Checks.field_jacobi, 1),
+    ("dynsys.darboux.group", (), None, _Checks.darboux, 0),
+    ("dynsys.darboux.dual_group", (), None, _Checks.darboux, 1),
+    ("dynsys.symmetry.group", (), None, _Checks.symmetry, 0),
+    ("dynsys.symmetry.dual_group", (), None, _Checks.symmetry, 1),
+    ("dynsys.display.group", (), None, _Checks.display, 0),
+    ("dynsys.display.dual_group", (), None, _Checks.display, 1),
+    ("dynsys.involutive.group", (), None, _Checks.involutive, 0),
+    ("dynsys.involutive.dual_group", (), None, _Checks.involutive, 1),
+    ("dynsys.q_matrix", ("rt", "rept"),
+     "needs both a dual-table classical matrix and acting matrices", _Checks.q_matrix, 0),
+    ("dynsys.q_matrix.dual", ("r", "rept"),
+     "needs both a bracket-table classical matrix and acting matrices", _Checks.q_matrix, 1),
+    ("dynsys.trace_invariants", ("rt", "rept", "inv_g"),
+     "needs a dual-table classical matrix, acting matrices, and invariants", _Checks.traces, 0),
+    ("dynsys.trace_invariants.dual", ("r", "rept", "inv_gt"),
+     "needs a bracket-table classical matrix, acting matrices, and invariants", _Checks.traces, 1),
+    ("dynsys.invariant_involution.group", ("inv_g",), _NO_INV, _Checks.involution, 0),
+    ("dynsys.invariant_independence.group", ("inv_g",), _NO_INV, _Checks.independence, 0),
+    ("dynsys.invariant_involution.dual_group", ("inv_gt",), _NO_INV, _Checks.involution, 1),
+    ("dynsys.invariant_independence.dual_group", ("inv_gt",), _NO_INV, _Checks.independence, 1),
+    ("exchange.phase_exchange", (), None, _Checks.exchange, "phase_exchange"),
+    ("exchange.dynfunc_transport", (), None, _Checks.exchange, "dynfunc_transport"),
+    ("exchange.dual_symmetry", (), None, _Checks.exchange, "dual_symmetry"),
+    ("exchange.q_transform", (), None, _Checks.exchange, "q_transform"),
+    ("exchange.classification", ("zmap",), "no chart-level map stored", _Checks.classification),
+    ("flow.conservation.group", (), None, _Checks.flows, 0),
+    ("flow.conservation.dual_group", (), None, _Checks.flows, 1),
+)
+
+
+def verify_entry(entry: CatalogEntry, config: VerifyConfig | None = None) -> VerificationReport:
+    """Run the full check ladder on one entry.
+
+    The checks run in the order of the ladder table: structure tables,
+    classical matrices, two-forms and fields, the dynamical systems on both
+    sides, the cross-space exchange, conserved flows.  A check whose entry
+    fields are absent is reported as a skip; a check that raises is reported
+    as a failure with the exception in the detail, so the report always
+    covers the whole ladder.
+    """
+    cfg = config or VerifyConfig()
+    started = time.perf_counter()
+    run = _Checks(entry, cfg)
+    results = []
+    for name, needs, reason, check, *args in _LADDER:
+        if any(getattr(entry, field) is None for field in needs):
+            outcome = _skip(reason)
+        else:
+            try:
+                outcome = check(run, *args)
+            except Exception as exc:  # a crash in any single check is a finding, not an abort
+                outcome = "fail", math.inf, None, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, *outcome))
     return VerificationReport(
         entry_id=entry.entry_id,
         seed=cfg.seed,
-        parameter_samples=tuple(_str_env(env) for env in A),
-        checks=tuple(col.checks),
-        elapsed=elapsed,
+        parameter_samples=tuple(_str_env(env) for env in run.A),
+        checks=tuple(results),
+        elapsed=time.perf_counter() - started,
     )
 
 

@@ -98,7 +98,8 @@ def test_flow_writes_csv(tmp_path):
     rc = main(["flow", "--entry", "trivial_abelian", "--hamiltonian", "S3",
                "--t", "0.1", "--dt", "0.01", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["t", "z1", "z2", "z3", "z4", "S1", "S2", "S3", "S4"]
     assert len(rows) == 12  # header plus eleven samples
     col = rows[0].index("S3")

@@ -1,10 +1,13 @@
 """Catalog loader, check ladder, mutation controls, aggregation, and reports."""
 
+import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from bisymplectic import harness
 from bisymplectic.harness import (
     ENV_CATALOG,
     CatalogError,
@@ -133,6 +136,12 @@ class TestLoader:
         with pytest.raises(CatalogError):
             load_entry(tmp_path / "absent.json")
 
+    def test_duplicate_form_entry_names_path(self, tmp_path):
+        doc = json.loads(entry_path("trivial_abelian").read_text())
+        doc["omega"]["g"]["upper"].append([0, 1, "0"])
+        with pytest.raises(CatalogError, match=r"omega\.g\.upper\[2\]: duplicate entry \(0, 1\)"):
+            load_entry(write_doc(tmp_path, doc))
+
 
 class TestVerifyEntry:
     def test_ex1_all_green(self, ex1_report):
@@ -171,6 +180,96 @@ class TestVerifyEntry:
             assert set(sample) == {"a", "b", "c", "d"}
             for v in sample.values():
                 assert Fraction(v) != 0
+
+
+NO_DUAL_R = "no classical matrix stored for the dual table"
+NO_REPT = "no acting matrices stored"
+NO_FORM = "no two-form stored"
+NO_INV = "no invariants stored"
+Q_DUAL = "needs both a dual-table classical matrix and acting matrices"
+Q_BRACKET = "needs both a bracket-table classical matrix and acting matrices"
+TRACE_DUAL = "needs a dual-table classical matrix, acting matrices, and invariants"
+TRACE_BRACKET = "needs a bracket-table classical matrix, acting matrices, and invariants"
+
+# the checks ex1 skips once one optional field is dropped, with their reasons
+SKIPS_WITHOUT = {
+    "rt": {
+        "rmatrix.cybe.dual": NO_DUAL_R,
+        "rmatrix.cobracket": NO_DUAL_R,
+        "dynsys.q_matrix": Q_DUAL,
+        "dynsys.trace_invariants": TRACE_DUAL,
+        "exchange.q_transform": "missing rt",
+    },
+    "r": {
+        "rmatrix.cybe.bracket": "no classical matrix stored for the bracket table",
+        "dynsys.q_matrix.dual": Q_BRACKET,
+        "dynsys.trace_invariants.dual": TRACE_BRACKET,
+        "exchange.q_transform": "missing r",
+    },
+    "rept": {
+        "liealg.representation": NO_REPT,
+        "liealg.representation.transported": NO_REPT,
+        "dynsys.q_matrix": Q_DUAL,
+        "dynsys.q_matrix.dual": Q_BRACKET,
+        "dynsys.trace_invariants": TRACE_DUAL,
+        "dynsys.trace_invariants.dual": TRACE_BRACKET,
+        "exchange.q_transform": "missing rept",
+    },
+    "omega_g": {"symplectic.closure.g": NO_FORM, "symplectic.nondegenerate.g": NO_FORM},
+    "omega_gdual": {"symplectic.closure.gdual": NO_FORM, "symplectic.nondegenerate.gdual": NO_FORM},
+    "inv_g": {
+        "dynsys.trace_invariants": TRACE_DUAL,
+        "dynsys.invariant_involution.group": NO_INV,
+        "dynsys.invariant_independence.group": NO_INV,
+    },
+    "inv_gt": {
+        "dynsys.trace_invariants.dual": TRACE_BRACKET,
+        "dynsys.invariant_involution.dual_group": NO_INV,
+        "dynsys.invariant_independence.dual_group": NO_INV,
+    },
+    "zmap": {"exchange.classification": "no chart-level map stored"},
+}
+
+
+class TestLadderTable:
+    @pytest.mark.parametrize("field", sorted(SKIPS_WITHOUT))
+    def test_absent_field_skips_exactly_its_checks(self, ex1_entry, ex1_report, field):
+        report = verify_entry(dataclasses.replace(ex1_entry, **{field: None}), QUICK)
+        assert [c.name for c in report.checks] == [c.name for c in ex1_report.checks]
+        skipped = {c.name: c.detail for c in report.checks if c.status == "skip"}
+        assert skipped == SKIPS_WITHOUT[field]
+
+    def test_a_raising_layer_fails_only_its_checks(self, ex1_entry, ex1_report, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("antisymmetry down")
+
+        monkeypatch.setattr(harness, "check_antisymmetry", boom)
+        report = verify_entry(ex1_entry, QUICK)
+        crashed = ("liealg.antisymmetry.g", "liealg.antisymmetry.gdual")
+        for before, after in zip(ex1_report.checks, report.checks, strict=True):
+            if after.name in crashed:
+                assert after.status == "fail"
+                assert after.max_residual == math.inf
+                assert after.detail == "RuntimeError: antisymmetry down"
+            else:
+                assert after == before
+
+    def test_a_raising_exchange_keeps_the_whole_ladder(self, ex1_entry, ex1_report, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("exchange down")
+
+        monkeypatch.setattr(harness, "verify_exchange", boom)
+        report = verify_entry(ex1_entry, QUICK)
+        assert [c.name for c in report.checks] == [c.name for c in ex1_report.checks]
+        assert len(report.checks) == 43
+        failed = {c.name: (c.max_residual, c.detail) for c in report.failures}
+        assert failed == {
+            f"exchange.{stage}": (math.inf, "RuntimeError: exchange down")
+            for stage in ("phase_exchange", "dynfunc_transport", "dual_symmetry", "q_transform")
+        }
+        for name in ("exchange.classification", "flow.conservation.group",
+                     "flow.conservation.dual_group"):
+            assert report.check(name).status == "pass"
 
 
 class TestMutations:
