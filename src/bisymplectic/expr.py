@@ -744,7 +744,7 @@ def free_symbols(e: Expression) -> set[Symbol]:
 
 
 # --------------------------------------------------------------------------
-# compilation (float fast path shared by equiv_zero and the integrator)
+# compilation (float fast path of equiv_zero, the rank and exchange checks)
 # --------------------------------------------------------------------------
 
 
@@ -840,14 +840,14 @@ def _exec_source(src: str, den_guard: float) -> Callable:
     The function depends on nothing but ``src`` and ``den_guard`` (which
     only its singular-point message reads), so equal keys share one
     function.  Its globals are ``_exp``, ``_m`` (max), ``_fin`` (isfinite),
-    ``_sing`` and ``SingularPointError``.
+    ``_cs`` (copysign), ``_sing`` and ``SingularPointError``.
     """
 
     def _sing(value: float):
         raise SingularPointError(f"denominator {value!r} within {den_guard} of zero")
 
-    scope: dict = {"_exp": math.exp, "_m": max, "_fin": math.isfinite, "_sing": _sing,
-                   "SingularPointError": SingularPointError}
+    scope: dict = {"_exp": math.exp, "_m": max, "_fin": math.isfinite, "_cs": math.copysign,
+                   "_sing": _sing, "SingularPointError": SingularPointError}
     exec(compile(src, "<bisymplectic-compiled>", "exec"), scope)
     return scope["_fn"]
 

@@ -304,6 +304,8 @@ def _parse_upper(items, dim: int, tab: Mapping[str, Symbol], path: str,
 
 def _parse_rmatrix(doc: dict, dim: int, ptab: Mapping[str, Symbol], path: str) -> RMatrix:
     variance = _str(_get(doc, "variance", path), f"{path}.variance")
+    if variance not in ("lower", "upper"):
+        raise CatalogError(f"{path}.variance: expected 'lower' or 'upper'")
     wedge = _parse_upper(_get(doc, "wedge", path), dim, ptab, f"{path}.wedge",
                          "wedge indices", "duplicate wedge entry")
     try:

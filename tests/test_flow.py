@@ -128,6 +128,36 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             Trajectory((0.0, 0.1), ((1.0,), (math.inf,)), "rk4", 0.1)
 
+    @pytest.mark.parametrize("times,states,step", [
+        ((0.0, 1.0), ((1e308, 1e308),) * 2, 1.0),  # finite values whose sum overflows
+        ((0.0, 1.0), ((math.inf,), (-math.inf,)), 1.0),
+        ((0.0, 1.0), ((math.nan,), (1.0,)), 1.0),
+        ((0, 1), ((10**400,), (-10**400,)), 1),  # no float holds either value
+        ((0, 1), ((math.nan,), (10**400,)), 1),
+        ((0, 1), ((Fraction(10**400),), (Fraction(-10**400),)), 1),
+        ((Fraction(0), Fraction(1, 3)), ((Fraction(1, 3),), (2,)), Fraction(1, 3)),
+        ((0.0, 1.0), ((math.nan,), (None,)), 1.0),
+        ((0.0, 1.0), ((1.0,), ("a",)), 1.0),
+        ((math.nan, 1.0, 2.0), ((1.0,),) * 3, 1.0),  # a NaN gap passes the grid test
+        ((0, 1, 3), ((1,),) * 3, 1),
+    ])
+    def test_trajectory_checks_agree_with_value_by_value_tests(self, times, states, step):
+        def reference():
+            tol = 1e-9 * max(1.0, abs(step))
+            if any(abs(b - a - step) > tol for a, b in zip(times, times[1:])):
+                raise ValueError("grid")
+            if not all(math.isfinite(v) for state in states for v in state):
+                raise ValueError("finite")
+
+        outcomes = []
+        for build in (reference, lambda: Trajectory(times, states, "rk4", step)):
+            try:
+                build()
+                outcomes.append(None)
+            except Exception as exc:  # the type is the outcome compared
+                outcomes.append(type(exc))
+        assert outcomes[0] is outcomes[1]
+
 
 class TestConservationDrift:
     def test_energy_conserved_along_oscillator(self, uv, oscillator):
@@ -286,29 +316,57 @@ COORDS = tuple(Symbol(f"q{i}") for i in range(6))
 CONSTANTS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
+# leaves of the trees with a pool; the state-free subtrees are built afresh
+# on each draw: folded constants and signed zeros, and (RAISING) ones that
+# raise wherever they are evaluated, a guarded pole, an exp or ** beyond
+# the floats
+LEAVES = ["sym"] * 8 + ["rat"] * 5 + ["shared"] * 3 + ["quiet"] * 3 + ["raising"]
+QUIET = [lambda: Sum(Rat(1), Rat(Fraction(1, 2))), lambda: Neg(Rat(0)), lambda: Product(Rat(-1), Rat(0))]
+QUIET_RATIONAL = [lambda: Quotient(Rat(1), Rat(3)), lambda: Exp(Rat(2)),
+                  lambda: IntPower(Sum(Rat(1), Rat(1)), -2)]
+RAISING = [lambda: IntPower(Rat(10**200), 2)]
+RAISING_RATIONAL = [lambda: Quotient(Rat(1), Sum(Rat(1), Neg(Rat(1)))),
+                    lambda: IntPower(Sum(Rat(1), Neg(Rat(1))), -1), lambda: Exp(Rat(800))]
+
+
 @st.composite
-def trees(draw, symbols, depth, rational):
-    """Random field component: polynomial, or rational with guarded poles."""
+def trees(draw, symbols, depth, rational, pool=None):
+    """Random field component: polynomial, or rational with guarded poles.
+
+    With a ``pool`` (a list shared by the trees of one example), a leaf may
+    also be a node built earlier, the same object again, or a state-free
+    subtree, now and then one that raises."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
-        if draw(st.booleans()):
+        leaf = draw(st.sampled_from(LEAVES if pool is not None else ["sym", "rat"]))
+        if leaf == "sym":
             return Sym(draw(st.sampled_from(symbols)))
+        if leaf == "shared" and pool:
+            return draw(st.sampled_from(pool))
+        if leaf == "quiet":
+            return draw(st.sampled_from(QUIET + (QUIET_RATIONAL if rational else [])))()
+        if leaf == "raising":
+            return draw(st.sampled_from(RAISING + (RAISING_RATIONAL if rational else [])))()
         return Rat(draw(CONSTANTS))
     kinds = ["sum", "prod", "pow", "neg"] + (["quot", "negpow", "exp"] if rational else [])
     kind = draw(st.sampled_from(kinds))
-    sub = trees(symbols, depth - 1, rational)
+    sub = trees(symbols, depth - 1, rational, pool)
     if kind == "sum":
-        return Sum(draw(sub), draw(sub))
-    if kind == "prod":
-        return Product(draw(sub), draw(sub))
-    if kind == "pow":
-        return IntPower(draw(sub), draw(st.integers(2, 3)))
-    if kind == "negpow":
-        return IntPower(draw(sub), draw(st.integers(-2, -1)))
-    if kind == "quot":
-        return Quotient(draw(sub), draw(sub))
-    if kind == "exp":
-        return Exp(draw(trees(symbols, 1, False)))
-    return Neg(draw(sub))
+        node = Sum(draw(sub), draw(sub))
+    elif kind == "prod":
+        node = Product(draw(sub), draw(sub))
+    elif kind == "pow":
+        node = IntPower(draw(sub), draw(st.integers(2, 3)))
+    elif kind == "negpow":
+        node = IntPower(draw(sub), draw(st.integers(-2, -1)))
+    elif kind == "quot":
+        node = Quotient(draw(sub), draw(sub))
+    elif kind == "exp":
+        node = Exp(draw(trees(symbols, 1, False)))
+    else:
+        node = Neg(draw(sub))
+    if pool is not None:
+        pool.append(node)
+    return node
 
 
 @st.composite
@@ -316,7 +374,8 @@ def flows(draw):
     dim = draw(st.integers(1, 6))
     coords = COORDS[:dim]
     rational = draw(st.booleans())
-    field = [draw(trees(coords, 3, rational)) for _ in coords]
+    pool = []
+    field = [draw(trees(coords, 3, rational, pool)) for _ in coords]
     x0 = [draw(st.sampled_from([-1.5, -0.5, 0.25, 0.5, 1.0, 2.0])) for _ in coords]
     # a first component that hits a pole (guard trip), overflows in `**` or
     # exp (OverflowError), or runs to inf (the isfinite stop)
@@ -336,6 +395,50 @@ def flows(draw):
     return coords, field, x0, dt, T, den_guard
 
 
+def subtrees(exprs):
+    """Every node of the trees once (by identity), in post-order."""
+    seen, out = set(), []
+
+    def walk(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for child in getattr(node, "terms", ()) + getattr(node, "factors", ()):
+            walk(child)
+        for name in ("num", "den", "base", "arg"):
+            if hasattr(node, name):
+                walk(getattr(node, name))
+        out.append(node)
+
+    for e in exprs:
+        walk(e)
+    return out
+
+
+def assert_csv_matches(coords, traj, invariants, den_guard):
+    want, got = io.StringIO(), io.StringIO()
+    try:
+        reference_csv(want, coords, traj, invariants, den_guard)
+    except (SingularPointError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            export_csv(got, coords, traj, invariants, den_guard=den_guard)
+    else:
+        export_csv(got, coords, traj, invariants, den_guard=den_guard)
+    assert got.getvalue() == want.getvalue()
+
+
+def assert_drift_matches(coords, traj, F, den_guard):
+    try:
+        want = reference_drift(coords, traj, F, den_guard)
+    except (SingularPointError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            conservation_drift(coords, traj, F, den_guard=den_guard)
+        return
+    got = conservation_drift(coords, traj, F, den_guard=den_guard)
+    # repr: exact for floats, and a NaN entry equals itself
+    assert repr((got.max_abs, got.relative)) == repr((want.max_abs, want.relative))
+
+
 class TestKernelMatchesReference:
     @PROPERTY
     @given(flows())
@@ -353,31 +456,30 @@ class TestKernelMatchesReference:
         coords, field, x0, dt, T, den_guard = case
         traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
         invariants = [(f"F{i}", field[i % len(field)]) for i in range(n_invariants)]
-        want, got = io.StringIO(), io.StringIO()
-        try:
-            reference_csv(want, coords, traj, invariants, den_guard)
-        except (SingularPointError, OverflowError) as exc:
-            with pytest.raises(type(exc)):
-                export_csv(got, coords, traj, invariants, den_guard=den_guard)
-        else:
-            export_csv(got, coords, traj, invariants, den_guard=den_guard)
-        assert got.getvalue() == want.getvalue()
+        assert_csv_matches(coords, traj, invariants, den_guard)
 
     @PROPERTY
     @given(flows(), st.data())
     def test_conservation_drift_equals_reference_loop(self, case, data):
         coords, field, x0, dt, T, den_guard = case
         traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
-        F = data.draw(st.lists(trees(coords, 3, True), max_size=3))
-        try:
-            want = reference_drift(coords, traj, F, den_guard)
-        except (SingularPointError, OverflowError) as exc:
-            with pytest.raises(type(exc)):
-                conservation_drift(coords, traj, F, den_guard=den_guard)
-            return
-        got = conservation_drift(coords, traj, F, den_guard=den_guard)
-        # repr: exact for floats, and a NaN entry equals itself
-        assert repr((got.max_abs, got.relative)) == repr((want.max_abs, want.relative))
+        F = data.draw(st.lists(trees(coords, 3, True, []), max_size=3))
+        assert_drift_matches(coords, traj, F, den_guard)
+
+    @PROPERTY
+    @given(flows())
+    def test_every_subtree_alone_equals_the_references(self, case):
+        # each node in every context: as the first field component beside
+        # the others (where it may also be shared), and as the one invariant
+        coords, field, x0, dt, T, den_guard = case
+        T = min(T, 12 * dt)
+        traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
+        for node in subtrees(field):
+            alone = [node] + field[1:]
+            got = integrate(coords, alone, x0, dt, T, den_guard=den_guard)
+            assert (got.times, got.states, got.step) == reference_rk4(coords, alone, x0, dt, T, den_guard)
+            assert_csv_matches(coords, traj, [("F", node)], den_guard)
+            assert_drift_matches(coords, traj, [node], den_guard)
 
     def test_guard_trip_stops_where_reference_stops(self, uv):
         field = parse_over(("1/v", "-1"), uv)
@@ -433,6 +535,49 @@ class TestAuditKernels:
         got = io.StringIO()
         export_csv(got, uv, traj, invariants)
         assert got.getvalue() == want.getvalue()
+
+    def test_csv_cell_text_follows_sign_type_and_nan(self, uv):
+        # a repeated value reuses its text only as the same float: 0.0 and
+        # -0.0, 1 and 1.0 and Fraction(1), and NaN and NaN print apart or anew
+        u, v = (Sym(s) for s in uv)
+        cells = [0.0, -0.0, -0.0, 0.0, 1, 1.0, 1.0, Fraction(1), 1.0, 1e200, 1e200, 1.0]
+        times = tuple(range(len(cells)))
+        traj = Trajectory(times, tuple((c, c) for c in cells), "rk4", 1)
+        invariants = [("zero", Product(Rat(0), u)), ("nan", Sum(Product(u, u, v), Neg(Product(v, v, u)))),
+                      ("same", v)]
+        fn = compile_exprs([e for _, e in invariants], ["u", "v"])
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["t", "u", "v", "zero", "nan", "same"])
+        writer.writerows((t, *state, *fn(state)[0]) for t, state in zip(times, traj.states))
+        got = io.StringIO()
+        export_csv(got, uv, traj, invariants)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().splitlines()[1:4] == ["0,0.0,0.0,0.0,0.0,0.0", "1,-0.0,-0.0,-0.0,0.0,-0.0",
+                                                    "2,-0.0,-0.0,-0.0,0.0,-0.0"]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_first_raise_in_emission_order(self, uv, order):
+        # at u = 1 the pole and both overflows raise at the same state; the
+        # audits raise what the reference raises first, in either order
+        u, v = (Sym(s) for s in uv)
+        F = [Quotient(Rat(1), Sum(u, Rat(-1))), Exp(Product(Rat(800), u)),
+             IntPower(Product(Rat(2 * 10**154), u), 2)]
+        traj = Trajectory((0.0, 0.5, 1.0), ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0)), "rk4", 0.5)
+        for invariants in (F[::order], F[1:][::order], [F[0], F[2]][::order]):
+            assert_drift_matches(uv, traj, invariants, DEN_GUARD)
+            assert_csv_matches(uv, traj, [(f"F{i}", e) for i, e in enumerate(invariants)], DEN_GUARD)
+
+    def test_exact_states_raise_in_emission_order(self, uv):
+        # with exact states `u*u*1` leaves the floats (OverflowError) before
+        # the pole in v is guarded (SingularPointError), and stays first
+        u, v = (Sym(s) for s in uv)
+        F = [Sum(Product(u, u, Rat(1)), Quotient(Rat(1), Sum(v, Rat(-1))))]
+        traj = Trajectory((0, 1), ((Fraction(10**200), 1),) * 2, "rk4", 1)
+        assert_drift_matches(uv, traj, F, DEN_GUARD)
+        assert_csv_matches(uv, traj, [("f", F[0])], DEN_GUARD)
+        with pytest.raises(OverflowError):
+            conservation_drift(uv, traj, F)
 
     def test_singular_invariant_leaves_the_rows_before_it(self, uv):
         traj = Trajectory((0.0, 0.5, 1.0, 1.5), tuple((k / 2, 0.0) for k in range(4)), "rk4", 0.5)

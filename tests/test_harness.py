@@ -136,6 +136,13 @@ class TestLoader:
         with pytest.raises(CatalogError):
             load_entry(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("variance", ["2*(lower)", "Upper", ""])
+    def test_rmatrix_variance_must_be_lower_or_upper(self, tmp_path, variance):
+        doc = ex1_doc()
+        doc["r_matrices"]["rt"]["variance"] = variance
+        with pytest.raises(CatalogError, match=r"r_matrices\.rt\.variance: expected 'lower' or 'upper'"):
+            load_entry(write_doc(tmp_path, doc))
+
     def test_duplicate_form_entry_names_path(self, tmp_path):
         doc = json.loads(entry_path("trivial_abelian").read_text())
         doc["omega"]["g"]["upper"].append([0, 1, "0"])
