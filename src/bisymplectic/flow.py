@@ -227,7 +227,11 @@ def _emit(exprs: Sequence[Expression], names: Sequence[str], den_guard: float,
             free[key] = False
             return text
         kids = _children(node)
-        parts = [emit(child) for child in kids]
+        for child in kids:
+            emit(child)
+        # read the texts only now: a later child's line may have settled an
+        # earlier child into its temporary
+        parts = [texts[id(child)] for child in kids]
         hoisted = hoist and all([free[id(child)] for child in kids])
         free[key] = hoisted
         if isinstance(node, Quotient) or (isinstance(node, IntPower) and node.exponent < 0):
@@ -263,7 +267,9 @@ def _emit(exprs: Sequence[Expression], names: Sequence[str], den_guard: float,
         pending.append(key)
         return text
 
-    results = [emit(e) for e in exprs]
+    for e in exprs:
+        emit(e)
+    results = [texts[id(e)] for e in exprs]
     fixed = {j for j, e in enumerate(exprs) if free[id(e)]} if hoist else set()
     return _Emitted(pre, body, results, reads, fixed)
 

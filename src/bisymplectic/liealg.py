@@ -6,8 +6,16 @@ arithmetic, so a passing check means the identity holds identically at that
 sample, not merely within a tolerance.
 
 Contractions run in integers over the nonzero entries of tables put over one
-common denominator per sample (:func:`_scaled_nonzeros`); :func:`_exact_report`
+common denominator per sample (:func:`_scaled_nonzeros`, which reads a
+constant entry's value without an evaluation walk); :func:`_exact_report`
 keeps the witness and ``max_abs`` a dense ``Fraction`` scan would find.
+:func:`check_jacobi` accumulates the product tensor
+``P[p, q, r, m] = sum_l t_pq^l t_lr^m``, one product and one add per pair of
+nonzero entries.  The cyclic sum ``P(i, j, k) + P(j, k, i) + P(k, i, j)`` is
+the same on the whole rotation orbit of ``(i, j, k)``, so each orbit is
+summed once and written back over ``P`` in place: the residuals take no
+more memory than ``P``.  A check walks its inputs for their parameters
+only when the caller gives no samples.
 
 Index conventions.  A bracket table ``[X_i, X_j] = f_ij^k X_k`` is stored as
 ``entries[i][j][k]``.  The dual algebra's table ``[Xt^i, Xt^j] = ft^ij_k Xt^k``
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .expr import (
     Expression,
@@ -158,10 +166,12 @@ def default_assignments(params: Sequence[Symbol], count: int = 5, seed: int = 0)
     return sample_parameters(params, count, seed)
 
 
-def _assignments_for(obj_params: tuple[Symbol, ...], assignments) -> list[dict[str, Fraction]]:
+def _assignments_for(assignments, params: Callable[[], tuple[Symbol, ...]]) -> list[dict[str, Fraction]]:
+    """The given samples, or the default samples of ``params()``; the
+    parameters are walked only when no samples are given."""
     if assignments is not None:
         return list(assignments)
-    return default_assignments(obj_params)
+    return default_assignments(params())
 
 
 def _scaled_nonzeros(grid, env) -> tuple[int, list]:
@@ -173,7 +183,9 @@ def _scaled_nonzeros(grid, env) -> tuple[int, list]:
     def walk(node):
         if not isinstance(node[0], Expression):
             return [walk(sub) for sub in node]
-        leaves.append([(k, v) for k, v in enumerate(Fraction(evaluate(e, env)) for e in node) if v])
+        # a constant leaf (most of a table) is read without an evaluation walk
+        values = (e.value if isinstance(e, Rat) else Fraction(evaluate(e, env)) for e in node)
+        leaves.append([(k, v) for k, v in enumerate(values) if v])
         return leaves[-1]
 
     rows = walk(grid)
@@ -202,7 +214,7 @@ def _exact_report(plans, samples, shape: tuple[int, ...]) -> ExactReport:
 
 def check_antisymmetry(f: StructureConstants, assignments=None) -> ExactReport:
     """f[i][j][k] + f[j][i][k] must vanish exactly at every sample."""
-    plans = _assignments_for(f.parameters(), assignments)
+    plans = _assignments_for(assignments, f.parameters)
     d = f.dim
 
     def sample(env):
@@ -220,22 +232,36 @@ def check_antisymmetry(f: StructureConstants, assignments=None) -> ExactReport:
 
 def check_jacobi(f: StructureConstants, assignments=None) -> ExactReport:
     """Cyclic Jacobi sum, contracted exactly at every parameter sample."""
-    plans = _assignments_for(f.parameters(), assignments)
+    plans = _assignments_for(assignments, f.parameters)
     d = f.dim
 
     def sample(env):
         scale, t = _scaled_nonzeros(f.entries, env)
+        # P[p, q, r, m] = sum_l t_pq^l t_lr^m, one product and one add per term
         acc = [0] * d ** 4
         for p in range(d):
             for q in range(d):
+                base = (p * d + q) * d
                 for l, x in t[p][q]:
+                    tl = t[l]
                     for r in range(d):
-                        for m, y in t[l][r]:
-                            # t_pq^l t_lr^m is a term of the cyclic sum at
-                            # (i, j, k) = (p, q, r), (r, p, q) and (q, r, p)
-                            acc[((p * d + q) * d + r) * d + m] += x * y
-                            acc[((r * d + p) * d + q) * d + m] += x * y
-                            acc[((q * d + r) * d + p) * d + m] += x * y
+                        o = (base + r) * d
+                        for m, y in tl[r]:
+                            acc[o + m] += x * y
+        # the cyclic sum at (i, j, k) is P(i, j, k) + P(j, k, i) + P(k, i, j),
+        # the same on the whole rotation orbit: sum each orbit once, from its
+        # least rotation (i the smallest index, (i, i, k) before (i, k, i)),
+        # and write it back over all its members
+        for i in range(d):
+            a = ((i * d + i) * d + i) * d
+            acc[a:a + d] = [3 * x for x in acc[a:a + d]]
+            for j in range(i, d):
+                for k in range(i + 1, d):
+                    a = ((i * d + j) * d + k) * d
+                    b = ((j * d + k) * d + i) * d
+                    c = ((k * d + i) * d + j) * d
+                    acc[a:a + d] = acc[b:b + d] = acc[c:c + d] = [
+                        x + y + z for x, y, z in zip(acc[a:a + d], acc[b:b + d], acc[c:c + d])]
         return scale * scale, acc
 
     return _exact_report(plans, map(sample, plans), (d, d, d, d))
@@ -317,7 +343,7 @@ class ManinReport:
 def verify_manin_triple(bialg: LieBialgebra, assignments=None) -> ManinReport:
     """Certify the pair: the double satisfies Jacobi and the canonical
     pairing (isotropic on each side by construction) is ad-invariant."""
-    plans = _assignments_for(bialg.parameters(), assignments)
+    plans = _assignments_for(assignments, bialg.parameters)
     double = build_double(bialg)
     jac = check_jacobi(double, plans)
 
@@ -400,7 +426,7 @@ class IsomorphismMatrix:
 
     def check_invertible(self, assignments=None) -> ExactReport:
         """Exact determinant must be nonzero at every parameter sample."""
-        plans = _assignments_for(self.parameters(), assignments)
+        plans = _assignments_for(assignments, self.parameters)
         smallest = None
         witness = None
         for env in plans:
@@ -471,11 +497,10 @@ def check_representation(rep: MatrixRep, f: StructureConstants, assignments=None
     """[rho_i, rho_j] - f_ij^k rho_k must vanish entrywise, exactly."""
     if rep.dim != f.dim:
         raise ValueError("representation and tensor dimensions differ")
-    params = parameter_symbols(
+    plans = _assignments_for(assignments, lambda: parameter_symbols(
         [e for mat in rep.matrices for row in mat for e in row]
         + [e for plane in f.entries for row in plane for e in row]
-    )
-    plans = _assignments_for(params, assignments)
+    ))
     d, m = rep.dim, rep.size
 
     def sample(env):
@@ -487,15 +512,20 @@ def check_representation(rep: MatrixRep, f: StructureConstants, assignments=None
         for i in range(d):
             for a in range(m):
                 for c, x in rho[i][a]:
+                    tx = ts * x
                     for j in range(d):
+                        ij, ji = ((i * d + j) * m + a) * m, ((j * d + i) * m + a) * m
                         for b, y in rho[j][c]:
-                            acc[((i * d + j) * m + a) * m + b] += ts * x * y
-                            acc[((j * d + i) * m + a) * m + b] -= ts * x * y
+                            v = tx * y
+                            acc[ij + b] += v
+                            acc[ji + b] -= v
             for j in range(d):
                 for k, c in t[i][j]:
+                    rc = rs * c
                     for a in range(m):
+                        ij = ((i * d + j) * m + a) * m
                         for b, y in rho[k][a]:
-                            acc[((i * d + j) * m + a) * m + b] -= rs * c * y
+                            acc[ij + b] -= rc * y
         return ts * rs * rs, acc
 
     return _exact_report(plans, map(sample, plans), (d, d, m, m))

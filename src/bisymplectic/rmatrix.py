@@ -89,11 +89,10 @@ def cybe_residual(r: RMatrix, f: StructureConstants, assignments=None) -> ExactR
     """
     if r.dim != f.dim:
         raise ValueError("r-matrix and tensor dimensions differ")
-    params = parameter_symbols(
+    plans = _assignments_for(assignments, lambda: parameter_symbols(
         [e for row in r.entries for e in row]
         + [e for plane in f.entries for row in plane for e in row]
-    )
-    plans = _assignments_for(params, assignments)
+    ))
     d = r.dim
 
     def sample(env):

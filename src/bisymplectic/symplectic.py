@@ -125,11 +125,10 @@ def closure_residual(omega: SymplecticForm, f: StructureConstants, assignments=N
     """
     if omega.dim != f.dim:
         raise ValueError("form and bracket table dimensions differ")
-    params = parameter_symbols(
+    plans = _assignments_for(assignments, lambda: parameter_symbols(
         [e for row in omega.entries for e in row]
         + [e for plane in f.entries for row in plane for e in row]
-    )
-    plans = _assignments_for(params, assignments)
+    ))
     d = f.dim
 
     def sample(env):
@@ -156,7 +155,7 @@ def closure_residual(omega: SymplecticForm, f: StructureConstants, assignments=N
 
 def check_nondegenerate(omega: SymplecticForm, assignments=None) -> ExactReport:
     """Exact determinant must be nonzero at every parameter sample."""
-    plans = _assignments_for(omega.parameters(), assignments)
+    plans = _assignments_for(assignments, omega.parameters)
     smallest = None
     witness = None
     for env in plans:

@@ -11,25 +11,32 @@ parameter-free or depending on one parameter, and either random (which
 almost always fails) or built to pass.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bisymplectic import liealg, rmatrix, symplectic
 from bisymplectic.expr import Expression, Rat, Sym, Symbol, evaluate, product_of, sum_of
 from bisymplectic.liealg import (
+    IsomorphismMatrix,
     LieBialgebra,
     MatrixRep,
     StructureConstants,
     build_double,
+    check_antisymmetry,
     check_jacobi,
     check_representation,
+    default_assignments,
     verify_manin_triple,
 )
 from bisymplectic.rmatrix import RMatrix, cybe_residual
-from bisymplectic.symplectic import SymplecticForm, closure_residual
+from bisymplectic.symplectic import SymplecticForm, check_nondegenerate, closure_residual
 
 A = Symbol("a", "parameter")
 POOL = [Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(1), Fraction(3)]
@@ -63,15 +70,15 @@ def as_tuple(rep):
     return rep.ok, rep.max_abs, rep.witness, rep.samples
 
 
+def dot(a, b):
+    return sum(map(mul, a, b))
+
+
 def jacobi_ref(t):
     d = len(t)
+    col = [[[t[l][k][m] for l in range(d)] for m in range(d)] for k in range(d)]  # col[k][m][l] = t_lk^m
     for i, j, k, m in product(range(d), repeat=4):
-        acc = Fraction(0)
-        for l in range(d):
-            acc += t[i][j][l] * t[l][k][m]
-            acc += t[j][k][l] * t[l][i][m]
-            acc += t[k][i][l] * t[l][j][m]
-        yield (i, j, k, m), acc
+        yield (i, j, k, m), dot(t[i][j], col[k][m]) + dot(t[j][k], col[i][m]) + dot(t[k][i], col[j][m])
 
 
 def ad_invariance_ref(t):
@@ -271,3 +278,73 @@ def test_tied_samples_keep_the_first_as_witness():
     rep = cybe_residual(r, f, plans)
     assert not rep.ok and rep.witness[1] == plans[0]
 
+
+
+@pytest.mark.parametrize("dim", [9, 12])
+def test_jacobi_orbit_sums_match_the_dense_reference_everywhere(dim, monkeypatch):
+    # 12 is the double of a 6-dim entry.  A raw table has t_ii^l != 0, so the
+    # products P(i, j, k) differ along an orbit and P(i, i, i) is nonzero;
+    # every residual is compared, not only the largest
+    f = table("raw", dim, random.Random(dim), 0.7, True)
+    plans = [{"a": Fraction(1, 2)}, {"a": Fraction(-2)}]
+    grids, memo, report = [], {}, liealg._exact_report
+
+    def spy(plans, samples, shape):
+        samples = list(samples)
+        grids.extend(samples)
+        return report(plans, samples, shape)
+
+    monkeypatch.setattr(liealg, "_exact_report", spy)
+    got = check_jacobi(f, plans)
+
+    def residuals(env):
+        # the reference in integers (the sum is bilinear), then scaled back
+        if env["a"] not in memo:
+            t = dense(f.entries, env)
+            scale = math.lcm(*(v.denominator for plane in t for row in plane for v in row))
+            assert any(t[i][i][l] * t[l][i][m] for i, l, m in product(range(dim), repeat=3))
+            ints = [[[int(v * scale) for v in row] for row in plane] for plane in t]
+            memo[env["a"]] = [(index, Fraction(v, scale * scale)) for index, v in jacobi_ref(ints)]
+        return memo[env["a"]]
+
+    for env, (scale, acc) in zip(plans, grids, strict=True):
+        want = [v for _, v in residuals(env)]
+        assert [Fraction(v, scale) for v in acc] == want
+        assert any(want[((i * dim + i) * dim + i) * dim + m] for i in range(dim) for m in range(dim))
+    assert as_tuple(got) == scan(plans, residuals)
+
+
+def test_given_samples_walk_no_parameters(monkeypatch):
+    # the ladder and the benchmark always pass the samples; the parameters
+    # are then never collected
+    def refuse(*args):
+        raise AssertionError("parameters walked although samples were given")
+
+    rng = random.Random(5)
+    f = table("antisymmetric", 3, rng, 0.7, True)
+    ft = table("lie", 3, rng, 0.7, True)
+    r = RMatrix(3, skew(3, rng, 0.7, True))
+    w = SymplecticForm(3, skew(3, rng, 0.7, True))
+    rep = MatrixRep(3, 2, tuple(tuple(tuple(entry(rng, 0.7, True) for _ in range(2)) for _ in range(2))
+                                for _ in range(3)))
+    C = IsomorphismMatrix.from_rows([[1, Sym(A), 0], [0, 1, 0], [0, 0, 2]])
+    plans = [{"a": Fraction(1, 2)}, {"a": Fraction(-2)}]
+    # without samples, the defaults drawn from the parameters
+    assert check_jacobi(f).samples == C.check_invertible().samples == len(default_assignments((A,))) == 5
+    for module in (liealg, rmatrix, symplectic):
+        monkeypatch.setattr(module, "parameter_symbols", refuse)
+    for cls in (StructureConstants, LieBialgebra, IsomorphismMatrix, MatrixRep, RMatrix, SymplecticForm):
+        monkeypatch.setattr(cls, "parameters", refuse)
+    reports = [
+        check_antisymmetry(f, plans),
+        check_jacobi(f, plans),
+        verify_manin_triple(LieBialgebra(f, ft), plans).jacobi,
+        check_representation(rep, f, plans),
+        C.check_invertible(plans),
+        cybe_residual(r, f, plans),
+        closure_residual(w, f, plans).cyclic,
+        check_nondegenerate(w, plans),
+    ]
+    assert [report.samples for report in reports] == [2] * 8
+    with pytest.raises(AssertionError, match="parameters walked"):
+        check_jacobi(f)

@@ -1,14 +1,18 @@
 """Flow layer: field construction, fixed-step integration, drift audits."""
 
+import ast
 import csv
 import io
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bisymplectic import flow
 from bisymplectic.expr import (
     DEN_GUARD,
     Exp,
@@ -439,6 +443,23 @@ def assert_drift_matches(coords, traj, F, den_guard):
     assert repr((got.max_abs, got.relative)) == repr((want.max_abs, want.relative))
 
 
+def unread_temporaries(source):
+    """The assignments to a temporary ``t<k>`` that no later line reads
+    before the next assignment to the same name, as (name, line) pairs."""
+    events: dict[str, list] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and re.fullmatch(r"t\d+", node.id):
+            events.setdefault(node.id, []).append((node.lineno, isinstance(node.ctx, ast.Store)))
+    unread = []
+    for name, seen in events.items():
+        seen.sort()
+        for at, (line, store) in enumerate(seen):
+            following = seen[at + 1] if at + 1 < len(seen) else None
+            if store and (following is None or following[1] or following[0] == line):
+                unread.append((name, line))
+    return unread
+
+
 class TestKernelMatchesReference:
     @PROPERTY
     @given(flows())
@@ -480,6 +501,21 @@ class TestKernelMatchesReference:
             assert (got.times, got.states, got.step) == reference_rk4(coords, alone, x0, dt, T, den_guard)
             assert_csv_matches(coords, traj, [("F", node)], den_guard)
             assert_drift_matches(coords, traj, [node], den_guard)
+
+    @PROPERTY
+    @given(flows())
+    def test_every_temporary_is_read_after_its_assignment(self, case):
+        # a part settled into t<k> after its parent's text was built would
+        # leave t<k> unread and compute the part a second time inline
+        coords, field, _, _, _, den_guard = case
+        names = [s.name for s in coords]
+        sources = []
+        with mock.patch.object(flow, "_exec_source", lambda source, guard: sources.append(source)):
+            for kernel in (flow._rk4_kernel, flow._drift_kernel, flow._csv_kernel):
+                kernel(field, names, den_guard)
+        assert len(sources) == 3
+        for source in sources:
+            assert unread_temporaries(source) == [], source
 
     def test_guard_trip_stops_where_reference_stops(self, uv):
         field = parse_over(("1/v", "-1"), uv)
