@@ -849,7 +849,9 @@ def _exec_source(src: str, den_guard: float) -> Callable:
     scope: dict = {"_exp": math.exp, "_m": max, "_fin": math.isfinite, "_cs": math.copysign,
                    "_sing": _sing, "SingularPointError": SingularPointError}
     exec(compile(src, "<bisymplectic-compiled>", "exec"), scope)
-    return scope["_fn"]
+    # popped, not read: the function's globals are ``scope``, so leaving it
+    # there is a reference cycle that only the cyclic collector could free
+    return scope.pop("_fn")
 
 
 # --------------------------------------------------------------------------

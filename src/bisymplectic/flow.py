@@ -11,6 +11,7 @@ constant canonical tensor.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -75,9 +76,13 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states):
             raise ValueError("one state per time stamp is required")
+        if not (math.isfinite(self.step) and all(map(math.isfinite, self.times[:1]))):
+            raise ValueError("times and step must be finite")
         tol = 1e-9 * max(1.0, abs(self.step))
         gaps = map(operator.sub, islice(self.times, 1, None), self.times)
-        if any(abs(gap - self.step) > tol for gap in gaps):
+        # written so that a NaN gap fails too; gaps near a finite step keep
+        # every time after a finite first one finite
+        if not all(abs(gap - self.step) <= tol for gap in gaps):
             raise ValueError("time grid must advance by the declared step")
         # fsum converts each value as isfinite does, and its sum is finite
         # only when every value is; a sum that fails or is not finite (finite
@@ -101,24 +106,78 @@ def canonical_start(
     coords: Sequence, exprs: Sequence[Expression], den_guard: float = DEN_GUARD
 ) -> list[float]:
     """Reproducible start point: every coordinate at 1/2; while any given
-    expression is singular there, the lowest still-unbumped coordinate moves
-    to 1 and the point is retried."""
+    expression is singular there (a guard trip, an OverflowError or a value
+    that is not finite), the lowest still-unbumped coordinate moves to 1 and
+    the point is retried.  Each point is decided by :func:`_interpreter`, so
+    no code is generated: the verdict is the drift kernel's at that state."""
     names = [s.name for s in coords]
-    # the drift audit's kernel on the one-state trajectory: an audit of the
-    # same list then reuses the compiled function
-    kernel = _drift_kernel(list(exprs), names, den_guard)
+    values = _interpreter(list(exprs), names, den_guard)
     point = [0.5] * len(names)
     for bump in range(len(names) + 1):
         try:
-            values, _ = kernel((point,))
+            if all(map(math.isfinite, values(point))):
+                return point
         except (SingularPointError, OverflowError):
-            values = None
-        if values is not None and all(math.isfinite(v) for v in values):
-            return point
+            pass
         if bump == len(names):
             break
         point[bump] = 1.0
     raise SingularPointError("no nonsingular start point on the 1/2-and-1 grid")
+
+
+def _interpreter(exprs: Sequence[Expression], names: Sequence[str], den_guard: float):
+    """``values(state)``: what the drift kernel of ``exprs`` computes at one
+    state, without generated code.  The trees are walked as :func:`_emit`
+    walks them, by identity and children first, and each node runs once in
+    that order with the kernel's float operation (``expr.evaluate`` would
+    keep constants exact, so ``1/(c*c)`` with c = 10**200 would raise
+    OverflowError where the kernel reads ``1/inf = 0.0``).  Leaves are read
+    here, so a constant beyond the floats or a symbol missing from ``names``
+    raises before any state, as it does at emission."""
+    index = {name: i for i, name in enumerate(names)}
+    slots: dict[int, int] = {}
+    program: list[tuple] = []  # (node, operand slots), or (None, constant) or (Sym, coordinate)
+
+    def visit(node: Expression) -> int:
+        key = id(node)
+        if key not in slots:
+            if isinstance(node, Rat):
+                step = (None, float(node.value))
+            elif isinstance(node, Sym):
+                if node.symbol.name not in index:
+                    raise ExprError(f"no value assigned to symbol {node.symbol.name!r}")
+                step = (Sym, index[node.symbol.name])
+            else:
+                step = (node, [visit(child) for child in _children(node)])
+            slots[key] = len(program)
+            program.append(step)
+        return slots[key]
+
+    results = [visit(e) for e in exprs]
+
+    def values(state: Sequence[float]) -> list[float]:
+        v: list = []
+        for node, arg in program:
+            if node is None:
+                value = arg
+            elif node is Sym:
+                value = state[arg]
+            elif isinstance(node, (Sum, Product)):
+                value = functools.reduce(operator.add if isinstance(node, Sum) else operator.mul,
+                                         [v[k] for k in arg])
+            elif isinstance(node, Neg):
+                value = -v[arg[0]]
+            elif isinstance(node, Exp):
+                value = math.exp(v[arg[0]])
+            else:
+                operand = v[arg[-1]]
+                if (isinstance(node, Quotient) or node.exponent < 0) and -den_guard < operand < den_guard:
+                    raise SingularPointError(f"denominator {operand!r} within {den_guard} of zero")
+                value = v[arg[0]] / operand if isinstance(node, Quotient) else operand ** node.exponent
+            v.append(value)
+        return [v[k] for k in results]
+
+    return values
 
 
 def _state(dim: int) -> str:
@@ -274,8 +333,39 @@ def _emit(exprs: Sequence[Expression], names: Sequence[str], den_guard: float,
     return _Emitted(pre, body, results, reads, fixed)
 
 
-def _rk4_kernel(field: Sequence[Expression], names: Sequence[str], den_guard: float):
-    """Generated ``_fn(x0, h, steps) -> (times, states)``: the whole
+# One flow's kernels are asked for again at each step size, from fresh
+# ``subst`` trees, and a chart side's CSV columns are the same list for each
+# of its flows: an RK4 and a drift kernel for the current flow and one CSV
+# kernel per chart side are the entries in use at once.
+KERNEL_CACHE_SIZE = 8
+_kernels: dict = {}  # least recently used first
+
+
+def _cached(source):
+    """The kernel builder over ``source(exprs, names, den_guard)``, which
+    returns generated source.  The three builders share one bounded LRU
+    cache of functions, keyed on the expressions' structure (``_key``, by
+    which they hash and compare, taken once per call), the coordinate names
+    and ``den_guard``: the emit walk and the source lookup run once per
+    distinct flow.  Trees equal in structure but not in sharing give
+    kernels that differ only in which values they reuse, never in a value
+    or in where one raises."""
+
+    def kernel(exprs: Sequence[Expression], names: Sequence[str], den_guard: float):
+        key = (source, tuple(e._key() for e in exprs), tuple(names), den_guard)
+        fn = _kernels.pop(key, None)
+        if fn is None:
+            fn = _exec_source(source(exprs, names, den_guard), den_guard)
+            if len(_kernels) >= KERNEL_CACHE_SIZE:
+                del _kernels[next(iter(_kernels))]
+        _kernels[key] = fn
+        return fn
+
+    return kernel
+
+
+def _rk4_source(field: Sequence[Expression], names: Sequence[str], den_guard: float):
+    """Source of ``_fn(x0, h, steps) -> (times, states)``: the whole
     fixed-step loop with the state in locals ``_x<i>`` and the field's body
     inlined once per stage (slopes ``_a``..``_d``).  Stage a reads ``_x<i>``
     itself; stages b to d read the stage inputs ``_v<i>``, computed only for
@@ -324,7 +414,10 @@ def _rk4_kernel(field: Sequence[Expression], names: Sequence[str], den_guard: fl
     finite = " and ".join(f"_fin(_x{i})" for i in n) or "True"
     body += [f"        if not ({finite}):", "            break", "        _times.append(_k * _h)",
              f"        _states.append({state})", "    return _times, _states"]
-    return _exec_source("\n".join(body), den_guard)
+    return "\n".join(body)
+
+
+_rk4_kernel = _cached(_rk4_source)
 
 
 def integrate(
@@ -370,8 +463,8 @@ class DriftReport:
         return max(self.relative, default=0.0)
 
 
-def _drift_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: float):
-    """Generated ``_fn(states) -> (F(first state), max |F - F(first state)|)``
+def _drift_source(F: Sequence[Expression], names: Sequence[str], den_guard: float):
+    """Source of ``_fn(states) -> (F(first state), max |F - F(first state)|)``
     with each state in locals ``_x<i>`` and ``F`` inlined (see :func:`_emit`;
     nothing is hoisted, so a raise comes at the state and line it came at
     before).  The first state only sets the references: its own difference
@@ -391,7 +484,10 @@ def _drift_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: floa
     refs = "".join(f"_r{j}, " for j in m)
     worst = "".join(f"_w{j}, " for j in m)
     body.append(f"    return ({refs}), ({worst})")
-    return _exec_source("\n".join(body), den_guard)
+    return "\n".join(body)
+
+
+_drift_kernel = _cached(_drift_source)
 
 
 def conservation_drift(
@@ -411,8 +507,8 @@ def conservation_drift(
     return DriftReport(worst, relative)
 
 
-def _csv_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: float):
-    """Generated ``_fn(write, times, states)``: for each state one ``write``
+def _csv_source(F: Sequence[Expression], names: Sequence[str], den_guard: float):
+    """Source of ``_fn(write, times, states)``: for each state one ``write``
     of the row ``t,<state>,<F(state)>\\r\\n``, with the state in locals
     ``_x<i>`` and ``F`` inlined (see :func:`_emit`; nothing is hoisted).
     A cell's text is ``str`` of its value, the conversion csv applies to
@@ -444,7 +540,10 @@ def _csv_kernel(F: Sequence[Expression], names: Sequence[str], den_guard: float)
                  f"            _s{j} = _str({value})"]
     cells = "".join(f"_s{j}, " for j in range(len(columns)))
     body.append(f"        _write({row} % (_t, {cells}))")
-    return _exec_source("\n".join(body), den_guard)
+    return "\n".join(body)
+
+
+_csv_kernel = _cached(_csv_source)
 
 
 def export_csv(

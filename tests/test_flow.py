@@ -2,9 +2,11 @@
 
 import ast
 import csv
+import gc
 import io
 import math
 import re
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bisymplectic import flow
+from bisymplectic import expr, flow
 from bisymplectic.expr import (
     DEN_GUARD,
     Exp,
@@ -132,6 +134,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             Trajectory((0.0, 0.1), ((1.0,), (math.inf,)), "rk4", 0.1)
 
+    def test_non_finite_times_and_steps_rejected(self):
+        # `abs(gap - step) > tol` is false for a NaN gap and for an infinite step
+        with pytest.raises(ValueError):
+            Trajectory((0.0, math.nan, 0.2), ((0.0,), (1.0,), (2.0,)), "rk4", 0.1)
+        with pytest.raises(ValueError):
+            Trajectory((0.0, 1.0, 2.0), ((0.0,), (1.0,), (2.0,)), "rk4", math.inf)
+
     @pytest.mark.parametrize("times,states,step", [
         ((0.0, 1.0), ((1e308, 1e308),) * 2, 1.0),  # finite values whose sum overflows
         ((0.0, 1.0), ((math.inf,), (-math.inf,)), 1.0),
@@ -142,11 +151,18 @@ class TestIntegrate:
         ((Fraction(0), Fraction(1, 3)), ((Fraction(1, 3),), (2,)), Fraction(1, 3)),
         ((0.0, 1.0), ((math.nan,), (None,)), 1.0),
         ((0.0, 1.0), ((1.0,), ("a",)), 1.0),
-        ((math.nan, 1.0, 2.0), ((1.0,),) * 3, 1.0),  # a NaN gap passes the grid test
+        ((math.nan, 1.0, 2.0), ((1.0,),) * 3, 1.0),  # a NaN gap, which a grid test `> tol` passes
         ((0, 1, 3), ((1,),) * 3, 1),
+        ((0.0, math.nan, 0.2), ((0.0,), (1.0,), (2.0,)), 0.1),  # NaN gaps on both sides
+        ((0.0, 1.0), ((1.0,),) * 2, math.inf),  # a tolerance of inf passes every gap
+        ((0.0, math.inf), ((1.0,),) * 2, 1.0),
+        ((math.inf,), ((1.0,),), 1.0),
+        ((0.0,), ((1.0,),), math.nan),
     ])
     def test_trajectory_checks_agree_with_value_by_value_tests(self, times, states, step):
         def reference():
+            if not all(math.isfinite(v) for v in (step, *times)):
+                raise ValueError("times")
             tol = 1e-9 * max(1.0, abs(step))
             if any(abs(b - a - step) > tol for a, b in zip(times, times[1:])):
                 raise ValueError("grid")
@@ -460,6 +476,134 @@ def unread_temporaries(source):
     return unread
 
 
+def reference_start(coords, exprs, den_guard=DEN_GUARD):
+    """The start-point search on the drift kernel of the list, each point of
+    the 1/2-and-1 grid as a one-state trajectory: `canonical_start` must
+    return the same point or raise the same way."""
+    names = [s.name for s in coords]
+    kernel = flow._drift_kernel(list(exprs), names, den_guard)
+    point = [0.5] * len(names)
+    for bump in range(len(names) + 1):
+        try:
+            values, _ = kernel((point,))
+        except (SingularPointError, OverflowError):
+            values = None
+        if values is not None and all(math.isfinite(v) for v in values):
+            return point
+        if bump == len(names):
+            break
+        point[bump] = 1.0
+    raise SingularPointError("no nonsingular start point on the 1/2-and-1 grid")
+
+
+@st.composite
+def starts(draw):
+    """Expression lists over 1 to 4 coordinates whose pool is seeded with
+    parts that decide a point of the 1/2-and-1 grid: poles at 1/2, at 1 and
+    on q_i = q_j, an exp that overflows at 1 or at both values, and huge
+    constants (a product that runs to inf, read back as 0 by a quotient or
+    an exp, and a constant beyond the floats)."""
+    dim = draw(st.integers(1, 4))
+    coords = COORDS[:dim]
+    q = [Sym(c) for c in coords]
+    index = st.integers(0, dim - 1)
+    huge = Product(Rat(10**200), Rat(10**200))
+    parts = {
+        "pole": lambda: Quotient(Rat(1), Sum(q[draw(index)], Rat(-draw(st.sampled_from([Fraction(1, 2), 1]))))),
+        "diagonal": lambda: Quotient(Rat(1), Sum(q[draw(index)], Neg(q[draw(index)]))),
+        "exp": lambda: Exp(Product(Rat(draw(st.sampled_from([1000, 1500]))), q[draw(index)])),
+        "inf": lambda: Product(Rat(10**200), q[draw(index)], Rat(10**200)),
+        "read back": lambda: draw(st.sampled_from([Quotient(q[draw(index)], huge), Exp(Neg(huge))])),
+        "beyond": lambda: Rat(10**400),
+    }
+    pool = [parts[kind]() for kind in draw(st.lists(st.sampled_from(sorted(parts)), min_size=1, max_size=4))]
+    exprs = [draw(trees(coords, 3, True, pool)) for _ in range(draw(st.integers(0, 2)))]
+    exprs += draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    # a guard of 1/2 meets the grid's own differences at its bound
+    den_guard = draw(st.sampled_from([DEN_GUARD, 1e-3, 0.2, 0.5]))
+    return coords, exprs, den_guard
+
+
+def assert_start_matches(coords, exprs, den_guard):
+    # the reference compiles first: canonical_start then compiles nothing
+    try:
+        want = reference_start(coords, exprs, den_guard)
+    except (SingularPointError, OverflowError) as exc:
+        with mock.patch("builtins.compile", side_effect=AssertionError("compiled")):
+            with pytest.raises(type(exc)):
+                canonical_start(coords, exprs, den_guard)
+        return
+    with mock.patch("builtins.compile", side_effect=AssertionError("compiled")):
+        assert canonical_start(coords, exprs, den_guard) == want
+
+
+class TestStartPoint:
+    @PROPERTY
+    @given(starts())
+    def test_interpreted_start_equals_the_kernel_search(self, case):
+        coords, exprs, den_guard = case
+        for each in [exprs] + [[node] for node in subtrees(exprs)]:
+            assert_start_matches(coords, each, den_guard)
+
+
+class TestKernelCache:
+    def test_one_flow_at_three_steps_builds_each_kernel_once(self, uv):
+        # fresh `subst` trees at each step size, as `bisym flow` and the
+        # flows bench build them: one emit walk and one compile per builder
+        table = {s.name: s for s in uv} | {"a": Symbol("a", "parameter")}
+        H_raw = parse_expr("a*(u^2 + v^2)/2 + exp(u/7919)*v", table)
+        trees_seen = []
+        with mock.patch.dict(flow._kernels, clear=True), \
+                mock.patch.object(flow, "_emit", wraps=flow._emit) as emitted, \
+                mock.patch("builtins.compile", wraps=compile) as compiled:
+            for dt in (0.1, 0.05, 0.025):
+                H = subst(H_raw, {"a": Rat(3)})
+                trees_seen.append(H)
+                before = compiled.call_count
+                x0 = canonical_start(uv, [H])
+                assert compiled.call_count == before
+                traj = integrate(uv, hamiltonian_vector_field(canonical_field(uv), H), x0, dt, 0.5)
+                conservation_drift(uv, traj, [H])
+                export_csv(io.StringIO(), uv, traj, [("H", H)])
+        assert len({id(H) for H in trees_seen}) == 3
+        assert emitted.call_count == 3
+        assert compiled.call_count == 3
+
+    def test_cache_is_bounded_least_recently_used_first(self, uv):
+        u = Sym(uv[0])
+        lists = [[Sum(u, Rat(k))] for k in range(flow.KERNEL_CACHE_SIZE + 1)]
+        with mock.patch.dict(flow._kernels, clear=True):
+            first = flow._drift_kernel(lists[0], ["u", "v"], DEN_GUARD)
+            for F in lists[1:-1]:
+                flow._drift_kernel(F, ["u", "v"], DEN_GUARD)
+            assert flow._drift_kernel(lists[0], ["u", "v"], DEN_GUARD) is first  # now the most recent
+            flow._drift_kernel(lists[-1], ["u", "v"], DEN_GUARD)
+            assert len(flow._kernels) == flow.KERNEL_CACHE_SIZE
+            kept = [key[1] for key in flow._kernels]
+        assert (lists[1][0]._key(),) not in kept and (lists[0][0]._key(),) in kept
+
+    def test_den_guard_is_part_of_the_key(self, uv):
+        F = parse_over(("1/u",), uv)
+        traj = Trajectory((0.0, 1.0), ((0.1, 0.0), (0.3, 0.0)), "rk4", 1.0)
+        with mock.patch.dict(flow._kernels, clear=True):
+            assert conservation_drift(uv, traj, F).max_abs == reference_drift(uv, traj, F).max_abs
+            with pytest.raises(SingularPointError):
+                conservation_drift(uv, traj, F, den_guard=0.2)
+
+    def test_a_kernel_dropped_from_every_cache_is_freed_at_once(self, uv):
+        # no reference cycle holds a generated function: with the cyclic
+        # collector off, dropping it from both caches frees it
+        F = parse_over(("u*v + 7/7919",), uv)
+        gc.disable()
+        try:
+            with mock.patch.dict(flow._kernels, clear=True):
+                kernel = weakref.ref(flow._drift_kernel(F, ["u", "v"], DEN_GUARD))
+            expr._exec_source.cache_clear()
+            assert kernel() is None
+        finally:
+            gc.enable()
+
+
 class TestKernelMatchesReference:
     @PROPERTY
     @given(flows())
@@ -486,6 +630,8 @@ class TestKernelMatchesReference:
         traj = integrate(coords, field, x0, dt, T, den_guard=den_guard)
         F = data.draw(st.lists(trees(coords, 3, True, []), max_size=3))
         assert_drift_matches(coords, traj, F, den_guard)
+        for node in subtrees(F):
+            assert_drift_matches(coords, traj, [node], den_guard)
 
     @PROPERTY
     @given(flows())
@@ -506,16 +652,17 @@ class TestKernelMatchesReference:
     @given(flows())
     def test_every_temporary_is_read_after_its_assignment(self, case):
         # a part settled into t<k> after its parent's text was built would
-        # leave t<k> unread and compute the part a second time inline
+        # leave t<k> unread and compute the part a second time inline; the
+        # sources are read from the builders, past the kernel cache
         coords, field, _, _, _, den_guard = case
         names = [s.name for s in coords]
-        sources = []
-        with mock.patch.object(flow, "_exec_source", lambda source, guard: sources.append(source)):
-            for kernel in (flow._rk4_kernel, flow._drift_kernel, flow._csv_kernel):
-                kernel(field, names, den_guard)
-        assert len(sources) == 3
-        for source in sources:
-            assert unread_temporaries(source) == [], source
+        for node in [None] + subtrees(field):
+            # each node as the first field component and as the one invariant
+            alone = field if node is None else [node] + field[1:]
+            exprs = field if node is None else [node]
+            for text in (flow._rk4_source(alone, names, den_guard), flow._drift_source(exprs, names, den_guard),
+                         flow._csv_source(exprs, names, den_guard)):
+                assert unread_temporaries(text) == [], text
 
     def test_guard_trip_stops_where_reference_stops(self, uv):
         field = parse_over(("1/v", "-1"), uv)
